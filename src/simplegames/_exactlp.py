@@ -27,6 +27,8 @@ _EXACT_SIZE_LIMIT = 6_000  # rows * columns below this: skip the float pass
 _FLOAT_TOL = 1e-9
 _DENOM_LADDER = (10**4, 10**8, 10**12)
 
+_IntRow = tuple[list[int], int, int]  # a <= row times its scale, and the scale
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -40,7 +42,7 @@ class LPResult:
 
 @dataclass
 class LinearSystem:
-    """Rows ``coeffs . x  (<=, =, >=)  rhs`` over ``x >= 0``."""
+    """Rows ``coeffs . x  (<=, =, >=)  rhs`` over ``x >= 0``, in Fractions or ints."""
 
     num_vars: int
     rows: list[tuple[tuple[Fraction, ...], int, Fraction]] = field(default_factory=list)
@@ -54,29 +56,37 @@ class LinearSystem:
 
     # -- normalisation ------------------------------------------------------
 
-    def _leq_rows(self) -> tuple[list[tuple[tuple[Fraction, ...], Fraction]], list[int]]:
-        """(A, b) rows in <= form plus the original row index of each."""
-        out: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    def _leq_rows(self) -> tuple[list[_IntRow], list[int]]:
+        """Rows in <= form, each as integers ``(A, b, scale)`` equal to the
+        rational row times ``scale``, plus the original row index of each."""
+        out: list[_IntRow] = []
         origin: list[int] = []
         for idx, (a, sense, b) in enumerate(self.rows):
+            scale = _math.lcm(b.denominator, *(c.denominator for c in a))
+            ints = [c.numerator * (scale // c.denominator) for c in a]
+            b_int = b.numerator * (scale // b.denominator)
             if sense in (LEQ, EQ):
-                out.append((a, b))
+                out.append((ints, b_int, scale))
                 origin.append(idx)
             if sense in (GEQ, EQ):
-                out.append((tuple(-c for c in a), -b))
+                out.append(([-c for c in ints], -b_int, scale))
                 origin.append(idx)
         return out, origin
 
     def check_point(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.num_vars or any(v < 0 for v in x):
             return False
+        # x scaled by its common denominator: integer rows stay in integers
+        den = _math.lcm(*(v.denominator for v in x))
+        xs = [v.numerator * (den // v.denominator) for v in x]
         for a, sense, b in self.rows:
-            lhs = sum(c * v for c, v in zip(a, x))
-            if sense == LEQ and lhs > b:
+            lhs = sum(c * v for c, v in zip(a, xs))
+            rhs = b * den
+            if sense == LEQ and lhs > rhs:
                 return False
-            if sense == GEQ and lhs < b:
+            if sense == GEQ and lhs < rhs:
                 return False
-            if sense == EQ and lhs != b:
+            if sense == EQ and lhs != rhs:
                 return False
         return True
 
@@ -87,22 +97,13 @@ class LinearSystem:
         combo = [Fraction(0)] * self.num_vars
         rhs = Fraction(0)
         for (a, sense, b), u in zip(self.rows, u_orig):
-            if sense == LEQ:
-                if u < 0:
-                    return False
-                for j, c in enumerate(a):
-                    combo[j] += u * c
-                rhs += u * b
-            elif sense == GEQ:
-                if u < 0:
-                    return False
-                for j, c in enumerate(a):
-                    combo[j] -= u * c
-                rhs -= u * b
-            else:  # equality: signed multiplier, same orientation as LEQ
-                for j, c in enumerate(a):
-                    combo[j] += u * c
-                rhs += u * b
+            if sense != EQ and u < 0:
+                return False  # only equality rows take a signed multiplier
+            if sense == GEQ:
+                u = -u  # orient the row as <=, like LEQ and EQ rows
+            for j, c in enumerate(a):
+                combo[j] += u * c
+            rhs += u * b
         # sum u_r (a_r x - b_r) over oriented rows is <= 0 for feasible x;
         # certificate forces it > 0
         return all(c >= 0 for c in combo) and rhs < 0
@@ -123,10 +124,12 @@ class LinearSystem:
         feasible, payload = _simplex_phase1(self.num_vars, leq)
         if feasible:
             x = tuple(payload)
-            assert self.check_point(x), "exact simplex returned a bad point"
+            if not self.check_point(x):
+                raise AssertionError("exact simplex returned a bad point")
             return LPResult(True, x=x)
         u = self._fold_farkas(payload, origin)
-        assert self.check_farkas(u), "exact simplex returned a bad certificate"
+        if not self.check_farkas(u):
+            raise AssertionError("exact simplex returned a bad certificate")
         return LPResult(False, farkas=u)
 
     def _fold_farkas(self, u_leq: Sequence[Fraction], origin: Sequence[int]) -> tuple[Fraction, ...]:
@@ -152,8 +155,8 @@ class LinearSystem:
             from scipy.optimize import linprog
         except ImportError:  # pragma: no cover
             return None
-        a_mat = np.array([[float(c) for c in a] for a, _ in leq])
-        b_vec = np.array([float(b) for _, b in leq])
+        a_mat = np.array([[c / scale for c in a] for a, _, scale in leq])
+        b_vec = np.array([b / scale for _, b, scale in leq])
         probe = linprog(
             np.zeros(self.num_vars), A_ub=a_mat, b_ub=b_vec,
             bounds=(0, None), method="highs",
@@ -204,71 +207,50 @@ def _row_gcd_reduce(nums: list[int], den: int) -> int:
             if g == 1:
                 return den
     if g > 1:
-        for j in range(len(nums)):
-            nums[j] //= g
+        nums[:] = [v // g for v in nums]
         den //= g
     return den
 
 
-def _simplex_phase1(num_vars: int, leq_rows) -> tuple[bool, list[Fraction]]:
+def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[Fraction]]:
     """Feasibility of ``A x <= b, x >= 0`` with exact arithmetic.
 
-    Returns ``(True, x)`` or ``(False, u)`` where ``u`` are nonnegative
-    multipliers over the given rows with ``u^T A >= 0`` and ``u^T b < 0``.
+    Rows come as integers with the factor they were scaled by.  Returns
+    ``(True, x)`` or ``(False, u)`` where ``u`` are nonnegative multipliers
+    over the unscaled rows with ``u^T A >= 0`` and ``u^T b < 0``.
     """
     rows = len(leq_rows)
     if rows == 0:
         return True, [Fraction(0)] * num_vars
 
-    # scale every row to integers; remember the factor for the certificate
-    scaled: list[tuple[list[int], int]] = []
-    row_scale: list[Fraction] = []
-    for a, b in leq_rows:
-        mult = _math.lcm(b.denominator, *(c.denominator for c in a)) if a else b.denominator
-        scaled.append(([int(c * mult) for c in a], int(b * mult)))
-        row_scale.append(Fraction(mult))
-
-    flipped = [b < 0 for _, b in scaled]
+    flipped = [b < 0 for _, b, _ in leq_rows]
     n_art = sum(flipped)
     slack_base = num_vars
     art_base = num_vars + rows
     width = num_vars + rows + n_art
 
     tableau: list[list[int]] = []
-    dens: list[int] = []
+    dens: list[int] = [1] * (rows + 1)
     basis: list[int] = []
     next_art = art_base
-    art_col_of_row: dict[int, int] = {}
-    for r, (a, b) in enumerate(scaled):
-        row = [0] * (width + 1)
-        sign = -1 if flipped[r] else 1
-        for j, c in enumerate(a):
-            row[j] = sign * c
-        row[slack_base + r] = sign  # slack (+1) or surplus (-1)
-        row[width] = sign * b
+    for r, (a, b, _) in enumerate(leq_rows):
         if flipped[r]:
-            col = next_art
+            row = [-c for c in a] + [0] * (rows + n_art) + [-b]
+            row[slack_base + r] = -1  # surplus
+            row[next_art] = 1
+            basis.append(next_art)
             next_art += 1
-            art_col_of_row[r] = col
-            row[col] = 1
-            basis.append(col)
         else:
+            row = list(a) + [0] * (rows + n_art) + [b]
+            row[slack_base + r] = 1  # slack
             basis.append(slack_base + r)
         tableau.append(row)
-        dens.append(1)
 
-    # reduced-cost row for  min sum(artificials):  rc = -sum(artificial rows)
-    # (all rows start with denominator 1)
-    rc = [0] * (width + 1)
-    rc_den = 1
-    for r in range(rows):
-        if flipped[r]:
-            row = tableau[r]
-            for j in range(width + 1):
-                rc[j] -= row[j]
-    for r in range(rows):
-        if flipped[r]:
-            rc[art_col_of_row[r]] = 0
+    # reduced-cost row for  min sum(artificials):  rc = -sum(artificial rows),
+    # zero on the artificial columns; it is pivoted as tableau row `rows`
+    rc = [-sum(col) for col in zip(*(row for row, f in zip(tableau, flipped) if f))] or [0] * (width + 1)
+    rc[art_base:width] = [0] * n_art
+    tableau.append(rc)
 
     # pivot algebra on per-row integer vectors: subtracting
     # (T_r[e]/den_r) / (piv/den_p) times the pivot row gives
@@ -278,25 +260,20 @@ def _simplex_phase1(num_vars: int, leq_rows) -> tuple[bool, list[Fraction]]:
     bland_after = 4 * (rows + width)
     while True:
         iteration += 1
+        rc = tableau[rows]
         enter = -1
         if iteration <= bland_after:
-            best = 0
-            for j in range(width):
-                v = rc[j]
-                if v < best:
-                    best = v
-                    enter = j
+            best = min(rc[:width])
+            if best < 0:
+                enter = rc.index(best)  # first most negative
         else:
-            for j in range(width):
-                if rc[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(width) if rc[j] < 0), -1)
         if enter < 0:
             break
+        col = [row[enter] for row in tableau]
         leave = -1
         best_num = best_coef = 0  # ratio = rhs/coef; the row den cancels
-        for r in range(rows):
-            coef = tableau[r][enter]
+        for r, coef in enumerate(col[:rows]):
             if coef > 0:
                 rhs = tableau[r][width]
                 if leave < 0:
@@ -310,30 +287,25 @@ def _simplex_phase1(num_vars: int, leq_rows) -> tuple[bool, list[Fraction]]:
                     best_num, best_coef = rhs, coef
         if leave < 0:
             raise AssertionError("unbounded phase-1 simplex")
+        # The choices above are invariant under scaling a row by a positive
+        # factor.  Dividing the pivot row by its gcd often leaves a unit
+        # pivot, which only adds multiples of its nonzero entries; other
+        # pivots rescale whole rows, which are then reduced.
         prow = tableau[leave]
+        common = _math.gcd(*prow)
+        if common > 1:
+            prow = tableau[leave] = [p // common for p in prow]
         piv = prow[enter]
-        for r in range(rows):
-            if r != leave:
+        support = [(j, p) for j, p in enumerate(prow) if p]
+        for r, factor in enumerate(col):
+            if factor and r != leave:
                 trow = tableau[r]
-                factor = trow[enter]
-                if factor:
-                    for j in range(width + 1):
-                        trow[j] = trow[j] * piv - factor * prow[j]
+                if piv == 1:
+                    for j, p in support:
+                        trow[j] -= factor * p
+                else:
+                    trow = tableau[r] = [t * piv - factor * p for t, p in zip(trow, prow)]
                     dens[r] = _row_gcd_reduce(trow, dens[r] * piv)
-        factor = rc[enter]
-        if factor:
-            for j in range(width + 1):
-                rc[j] = rc[j] * piv - factor * prow[j]
-            rc_den *= piv
-            g = rc_den
-            for v in rc:
-                if v:
-                    g = _math.gcd(g, v)
-                    if g == 1:
-                        break
-            if g > 1:
-                rc = [v // g for v in rc]
-                rc_den //= g
         dens[leave] = _row_gcd_reduce(prow, piv)
         basis[leave] = enter
 
@@ -351,5 +323,6 @@ def _simplex_phase1(num_vars: int, leq_rows) -> tuple[bool, list[Fraction]]:
     # cost of the row's slack/surplus column (kept: u = -y, rc = -y;
     # flipped: u = +y, rc = +y); phase-1 optimality makes them >= 0.  Undo
     # the input row scaling so the certificate fits the caller's rows.
-    u = [Fraction(rc[slack_base + r], rc_den) * row_scale[r] for r in range(rows)]
+    rc, rc_den = tableau[rows], dens[rows]
+    u = [Fraction(rc[slack_base + r] * leq_rows[r][2], rc_den) for r in range(rows)]
     return False, u

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Coalition, InvalidGameError, SimpleGame, dual as dual_game
-from .lpsep import WeightedRep, is_weighted, threshold_table
+from .lpsep import WeightedRep, is_weighted, threshold_table, weighted_game
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,9 @@ def formula_size(f: BoolFormula) -> int:
 
 
 def _dual_leaf(rep: WeightedRep) -> Leaf:
-    game = SimpleGame._from_table(rep.n, threshold_table(rep.weights, rep.quota, rep.n))
-    game.minwin_masks
-    dual_rep = is_weighted(dual_game(game))
-    assert dual_rep is not None, "the dual of a weighted game is weighted"
+    dual_rep = is_weighted(dual_game(weighted_game(rep)))
+    if dual_rep is None:
+        raise AssertionError("the dual of a weighted game is weighted")
     return Leaf(dual_rep)
 
 

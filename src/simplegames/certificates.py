@@ -29,8 +29,6 @@ from .core import (
 )
 from .lpsep import separable_result
 
-_PAIR_SWAP_LIMIT = 22  # cap on |y1 xor y2| for the length-2 pattern scan
-
 
 @dataclass(frozen=True)
 class TradingTransform:
@@ -97,31 +95,46 @@ def pair_incompatibility_certificate(
     posts: shared players sit in both pres, the symmetric difference is
     partitioned.  The scan over partitions is complete, so None here rules
     out every length-2 certificate with these posts; the pair may still be
-    inseparable, which only the exact LP decides.
+    inseparable, which only the exact LP decides.  The scan is capped at
+    ``MAX_TABLE_PLAYERS`` (20) players in ``y1 xor y2``, which never binds
+    on table-backed games; a larger difference raises
+    :class:`InvalidGameError`.
     """
     if y1.n != g.n or y2.n != g.n:
         raise InvalidGameError("coalitions and game player counts differ")
     if g.wins_mask(y1.mask) or g.wins_mask(y2.mask):
         raise InvalidGameError("both post coalitions must be losing")
-    both = y1.mask & y2.mask
-    delta = y1.mask ^ y2.mask
-    if delta == 0:
-        return None
-    if _popcount(delta) > _PAIR_SWAP_LIMIT:
+    if _popcount(y1.mask ^ y2.mask) > MAX_TABLE_PLAYERS:
         raise InvalidGameError("symmetric difference too large for the pattern scan")
+    split = _swap_split(g, y1.mask, y2.mask, True)
+    return None if split is None else _canonical(g.n, list(split), [y1.mask, y2.mask])
+
+
+def _swap_split(g: SimpleGame, a: int, b: int, win: bool) -> tuple[int, int] | None:
+    """Two coalitions splitting the multiset union of ``a`` and ``b`` that
+    both win (``win``) or both lose, or None.  Such a split proves that no
+    weighted part loses both (wins both, when ``win`` is false).
+
+    Past ``MAX_TABLE_PLAYERS`` players in ``a xor b`` the scan is skipped:
+    without a table each of its 2**20+ tests scans the minimal winning list.
+    """
+    delta = a ^ b
+    if delta == 0 or _popcount(delta) > MAX_TABLE_PLAYERS:
+        return None
+    both = a & b
     low = delta & -delta
     rest = delta ^ low
+    wins = g.wins_mask
     # iterate submasks of rest; the fixed low bit breaks X1/X2 symmetry
     sub = rest
     while True:
         x1 = both | low | sub
         x2 = both | (rest ^ sub)
-        if g.wins_mask(x1) and g.wins_mask(x2):
-            return _canonical(g.n, [x1, x2], [y1.mask, y2.mask])
+        if wins(x1) == win and wins(x2) == win:
+            return x1, x2
         if sub == 0:
-            break
+            return None
         sub = (sub - 1) & rest
-    return None
 
 
 def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None:
@@ -129,7 +142,8 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
 
     Strategy: an incomparable player pair yields an immediate swap
     certificate; otherwise all length-2 certificates over maximal losing
-    pairs are scanned; finally, if the exact separation LP is infeasible its
+    pairs are scanned (pairs more than ``MAX_TABLE_PLAYERS`` players apart
+    are skipped); finally, if the exact separation LP is infeasible its
     integer multipliers are assembled into a certificate.  A feasible LP
     proves no certificate of any length exists.  None with an infeasible LP
     whose assembled certificate exceeds ``max_len`` is bound-relative.
@@ -150,7 +164,7 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     maxlose = maximal_losing_masks(g)
     for a in range(len(maxlose)):
         for b in range(a + 1, len(maxlose)):
-            if _popcount(maxlose[a] ^ maxlose[b]) > _PAIR_SWAP_LIMIT:
+            if _popcount(maxlose[a] ^ maxlose[b]) > MAX_TABLE_PLAYERS:
                 continue
             cert = pair_incompatibility_certificate(
                 g, Coalition(maxlose[a], g.n), Coalition(maxlose[b], g.n)
@@ -158,7 +172,8 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
             if cert is not None:
                 return cert
     res, win_rows, lose_rows = separable_result(g.n, g.minwin_masks, maxlose)
-    assert not res.feasible, "weightedness check and separation LP disagree"
+    if res.feasible:
+        raise AssertionError("weightedness check and separation LP disagree")
     cert = _certificate_from_farkas(g, res.farkas, win_rows, lose_rows)
     if cert is not None and cert.length <= max_len:
         return cert
@@ -174,7 +189,8 @@ def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransf
     post1 = (win1 ^ bj) | bi
     post2 = (win2 ^ bi) | bj
     tt = _canonical(g.n, [win1, win2], [post1, post2])
-    assert verify_certificate(g, tt)
+    if not verify_certificate(g, tt):
+        raise AssertionError("incomparability certificate failed verification")
     return tt
 
 
@@ -229,5 +245,6 @@ def _certificate_from_farkas(
         if deficit > 0:
             return None
     tt = _canonical(g.n, pre, post)
-    assert verify_certificate(g, tt)
+    if not verify_certificate(g, tt):
+        raise AssertionError("Farkas certificate failed verification")
     return tt

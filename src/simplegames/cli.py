@@ -20,9 +20,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from . import boolean, certificates, desirability, dimension, hierarchical, lpsep
+from .boolean import format_fraction
 from .core import (
     Coalition,
     InvalidGameError,
@@ -151,10 +153,6 @@ def _parse_kind(token: str) -> hierarchical.Kind:
 
 
 # -- shared rendering ------------------------------------------------------------
-
-
-def format_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
 def format_rep(rep) -> str:
@@ -378,6 +376,11 @@ def _check(results: list, name: str, ok: bool, detail: str = "") -> None:
     results.append((name, bool(ok), detail))
 
 
+def _pairwise_incompatible(game: SimpleGame, witnesses: Sequence[Coalition]) -> bool:
+    oracle = dimension.PartOracle(game, "lose")
+    return all(not oracle.pair_compatible(a.mask, b.mask) for a, b in combinations(witnesses, 2))
+
+
 def _scenario_prop5(results) -> None:
     for d in (2, 3):
         game, witnesses = hierarchical.losing_witness_family(d, 2)
@@ -395,12 +398,7 @@ def _scenario_prop5(results) -> None:
             f"prop5 d={d} roughly weighted",
             rough is not None and lpsep.verify_representation(game, rough),
         )
-        oracle = dimension.PartOracle(game, "lose")
-        pairwise = all(
-            not oracle.pair_compatible(witnesses[i].mask, witnesses[j].mask)
-            for i in range(len(witnesses))
-            for j in range(i + 1, len(witnesses))
-        )
+        pairwise = _pairwise_incompatible(game, witnesses)
         _check(results, f"prop5 d={d} witnesses pairwise incompatible", pairwise)
         lower, _ = dimension.kurz_napel_lower(game)
         _check(results, f"prop5 d={d} clique lower bound >= {d}", lower >= d, f"lower={lower}")
@@ -411,13 +409,7 @@ def _scenario_os3(results) -> None:
     game, witnesses = hierarchical.losing_witness_family(k, m)
     _check(results, "os3 witness family size k^(m-1)", len(witnesses) == k ** (m - 1))
     _check(results, "os3 witnesses losing", all(not game.wins(w) for w in witnesses))
-    oracle = dimension.PartOracle(game, "lose")
-    pairwise = all(
-        not oracle.pair_compatible(witnesses[i].mask, witnesses[j].mask)
-        for i in range(len(witnesses))
-        for j in range(i + 1, len(witnesses))
-    )
-    _check(results, "os3 witnesses pairwise incompatible", pairwise)
+    _check(results, "os3 witnesses pairwise incompatible", _pairwise_incompatible(game, witnesses))
     lower, _ = dimension.kurz_napel_lower(game)
     _check(results, "os3 clique lower bound >= 4", lower >= 4, f"lower={lower}")
     maxlose = maximal_losing_masks(game)
@@ -479,8 +471,6 @@ def _scenario_sec4(results) -> None:
         "sec4 two-game representation equals the game",
         dimension.intersect_games((g1, g2), 7) == game,
     )
-    from itertools import combinations
-
     parts = []
     for chosen in combinations(range(5), 3):
         weights = (3, 3) + tuple(2 if i in chosen else 0 for i in range(5))

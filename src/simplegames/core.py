@@ -30,7 +30,7 @@ class TableSizeError(ValueError):
 
 
 def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 @dataclass(frozen=True)
@@ -187,14 +187,16 @@ class SimpleGame:
     truth table is materialised lazily and only for ``n <= MAX_TABLE_PLAYERS``.
     """
 
-    __slots__ = ("n", "_minwin", "_table", "_complete", "_weighted")
+    __slots__ = ("n", "_minwin", "_table", "_incomparable", "_classes", "_weighted")
 
     def __init__(self, n: int, _minwin: tuple[int, ...] | None, _table: int | None = None):
         self.n = n
         self._minwin = _minwin
         self._table = _table
-        self._complete: bool | None = None
-        self._weighted = False  # cache slot: False = unknown, else rep | None
+        # lazy caches; False = not computed yet where None is a value
+        self._incomparable = False  # first incomparable player pair, or None
+        self._classes = None  # equivalence classes of a complete game
+        self._weighted = False  # weighted representation, or None
 
     # Internal: both constructors hand in already-canonical data.
     @classmethod
@@ -270,14 +272,12 @@ def make_game(n: int, claimed_min_winning: Iterable[Coalition]) -> SimpleGame:
     reduction), so generators may hand in any family whose upward closure is
     the intended winning set.
     """
-    if not 1 <= n <= MAX_PLAYERS:
-        raise InvalidGameError(f"player count {n} outside 1..{MAX_PLAYERS}")
     masks = []
     for c in claimed_min_winning:
         if c.n != n:
             raise InvalidGameError(f"coalition declared over {c.n} players, game has {n}")
         masks.append(c.mask)
-    return SimpleGame._from_minwin_masks(n, antichain_reduce(masks))
+    return make_game_from_masks(n, masks)
 
 
 def make_game_from_masks(n: int, masks: Iterable[int]) -> SimpleGame:
@@ -299,15 +299,11 @@ def is_winning(g: SimpleGame, x: Coalition) -> bool:
 
 def maximal_losing(g: SimpleGame) -> tuple[Coalition, ...]:
     """Antichain of losing coalitions whose every proper superset wins."""
-    if g.n <= MAX_TABLE_PLAYERS:
-        masks = maxlose_from_table(g.table, g.n)
-    else:
-        masks = [(~t & ((1 << g.n) - 1)) for t in _minimal_transversals(g.minwin_masks, g.n)]
-    masks.sort(key=lambda m: (_popcount(m), m))
-    return tuple(Coalition(m, g.n) for m in masks)
+    return tuple(Coalition(m, g.n) for m in maximal_losing_masks(g))
 
 
 def maximal_losing_masks(g: SimpleGame) -> list[int]:
+    """Masks of :func:`maximal_losing`, in canonical (cardinality, mask) order."""
     if g.n <= MAX_TABLE_PLAYERS:
         masks = maxlose_from_table(g.table, g.n)
     else:

@@ -16,8 +16,10 @@ the corresponding prefix sum of ``v``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, Sequence
 
 from .core import (
     MAX_TABLE_PLAYERS,
@@ -47,14 +49,15 @@ class CompletenessError(ValueError):
         self.pair = (i, j)
 
 
-def _at_least_as_desirable(g: SimpleGame, i: int, j: int) -> bool:
-    """Condition: for all X avoiding both, X+{j} winning implies X+{i} winning."""
-    t = g.table
-    n = g.n
+def _violations(t: int, n: int, i: int, j: int) -> tuple[int, int]:
+    """Table positions of losing X|{i} with X|{j} winning, and of losing
+    X|{j} with X|{i} winning (X avoiding both).  Player i is at least as
+    desirable as j exactly when the first is empty."""
     li, lj = _lane(n, i), _lane(n, j)
-    win_with_j = t & lj & ~li  # positions X|{j}, i absent
-    aligned = (win_with_j >> (1 << j)) << (1 << i)  # moved to X|{i}
-    return aligned & ~t == 0
+    return (
+        (t & lj & ~li) >> (1 << j) << (1 << i) & ~t,
+        (t & li & ~lj) >> (1 << i) << (1 << j) & ~t,
+    )
 
 
 def compare_players(g: SimpleGame, i: int, j: int) -> Outcome:
@@ -65,22 +68,19 @@ def compare_players(g: SimpleGame, i: int, j: int) -> Outcome:
         raise InvalidGameError(f"players {i},{j} outside 0..{g.n - 1}")
     if g.n > MAX_TABLE_PLAYERS:
         raise TableSizeError("desirability comparison is table-gated")
-    ij = _at_least_as_desirable(g, i, j)
-    ji = _at_least_as_desirable(g, j, i)
-    if ij and ji:
+    bad_ij, bad_ji = _violations(g.table, g.n, i, j)
+    if not bad_ij and not bad_ji:
         return Outcome.EQUIVALENT
-    if ij:
+    if not bad_ij:
         return Outcome.STRICTLY_MORE
-    if ji:
+    if not bad_ji:
         return Outcome.STRICTLY_LESS
     return Outcome.INCOMPARABLE
 
 
 def is_complete(g: SimpleGame) -> bool:
     """True iff no pair of players is incomparable."""
-    if g._complete is None:
-        g._complete = _incomparable_pair(g) is None
-    return g._complete
+    return _incomparable_pair(g) is None
 
 
 def incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
@@ -89,11 +89,15 @@ def incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
 
 
 def _incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not _at_least_as_desirable(g, i, j) and not _at_least_as_desirable(g, j, i):
-                return (i, j)
-    return None
+    if g._incomparable is False:  # not scanned yet
+        t, n = g.table, g.n
+        g._incomparable = None
+        for i, j in itertools.combinations(range(n), 2):
+            bad_ij, bad_ji = _violations(t, n, i, j)
+            if bad_ij and bad_ji:
+                g._incomparable = (i, j)
+                break
+    return g._incomparable
 
 
 def incomparability_witness(g: SimpleGame, i: int, j: int) -> tuple[int, int] | None:
@@ -102,10 +106,7 @@ def incomparability_witness(g: SimpleGame, i: int, j: int) -> tuple[int, int] | 
     Returns a pair where X+{i} wins while X+{j} loses, combined with
     Y+{j} winning while Y+{i} loses (encoded as the two winning masks).
     """
-    t, n = g.table, g.n
-    li, lj = _lane(n, i), _lane(n, j)
-    bad_ij = (t & lj & ~li) >> (1 << j) << (1 << i) & ~t  # X|{i} losing spots
-    bad_ji = (t & li & ~lj) >> (1 << i) << (1 << j) & ~t
+    bad_ij, bad_ji = _violations(g.table, g.n, i, j)
     if not bad_ij or not bad_ji:
         return None
     x_i = (bad_ij & -bad_ij).bit_length() - 1  # X|{i} loses -> X|{j} wins
@@ -153,16 +154,22 @@ class ClassPartition:
 
 def equivalence_classes(g: SimpleGame) -> ClassPartition:
     """Class partition of a complete game, most desirable class first."""
-    pair = _incomparable_pair(g)
-    if pair is not None:
-        raise CompletenessError(*pair)
-    ge = [[False] * g.n for _ in range(g.n)]
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j:
-                ge[i][j] = _at_least_as_desirable(g, i, j)
+    if g._classes is None:  # cached on the game once found
+        g._classes = _class_partition(g)
+        g._incomparable = None
+    return g._classes
+
+
+def _class_partition(g: SimpleGame) -> ClassPartition:
     # strict-domination counts separate the classes of a total preorder
-    dominated = [sum(1 for j in range(g.n) if i != j and ge[i][j] and not ge[j][i]) for i in range(g.n)]
+    t, n = g.table, g.n
+    dominated = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        bad_ij, bad_ji = _violations(t, n, i, j)
+        if bad_ij and bad_ji:
+            raise CompletenessError(i, j)
+        if bad_ij or bad_ji:  # strict: the side free of violations dominates
+            dominated[j if bad_ij else i] += 1
     order = sorted(range(g.n), key=lambda i: (-dominated[i], i))
     classes: list[list[int]] = []
     for i in order:
@@ -201,33 +208,45 @@ def _model_scan(g: SimpleGame) -> tuple[ClassPartition, list[Model], list[Model]
     return part, winning, losing
 
 
+def _model_antichains(
+    sizes: Sequence[int], wins: Callable[[Model], bool]
+) -> tuple[list[Model], list[Model]]:
+    """Minimal winning and maximal losing models of a monotone model predicate.
+
+    Models range over ``0..sizes[c]`` members per class and are returned in
+    lexicographic order.  A model is minimal winning when removing any one
+    member loses, maximal losing when adding any one member wins.
+    """
+    models = list(itertools.product(*(range(s + 1) for s in sizes)))
+    status = [wins(u) for u in models]
+    strides = [math.prod(s + 1 for s in sizes[c + 1 :]) for c in range(len(sizes))]
+    minimal: list[Model] = []
+    maximal: list[Model] = []
+    for idx, u in enumerate(models):
+        steps = zip(u, sizes, strides)
+        if status[idx]:
+            if not any(status[idx - st] for k, _, st in steps if k > 0):
+                minimal.append(u)
+        elif all(status[idx + st] for k, s, st in steps if k < s):
+            maximal.append(u)
+    return minimal, maximal
+
+
+def _class_antichains(g: SimpleGame) -> tuple[list[Model], list[Model]]:
+    part, t = equivalence_classes(g), g.table
+    # masks of the first k players of each class, for every k
+    prefixes = [list(itertools.accumulate((1 << p for p in cls), initial=0)) for cls in part.classes]
+    return _model_antichains(part.sizes, lambda u: t >> sum(map(list.__getitem__, prefixes, u)) & 1)
+
+
 def minimal_winning_models(g: SimpleGame) -> tuple[Model, ...]:
     """Models of the inclusion-minimal winning coalitions."""
-    part, winning, _ = _model_scan(g)
-    win_set = set(winning)
-    out = []
-    for m in winning:
-        smaller = (tuple(m[k] - (k == c) for k in range(len(m))) for c in range(len(m)) if m[c] > 0)
-        if not any(s in win_set for s in smaller):
-            out.append(m)
-    return tuple(sorted(out))
+    return tuple(_class_antichains(g)[0])
 
 
 def maximal_losing_models(g: SimpleGame) -> tuple[Model, ...]:
     """Models of the inclusion-maximal losing coalitions."""
-    part, _, losing = _model_scan(g)
-    lose_set = set(losing)
-    sizes = part.sizes
-    out = []
-    for m in losing:
-        bigger = (
-            tuple(m[k] + (k == c) for k in range(len(m)))
-            for c in range(len(m))
-            if m[c] < sizes[c]
-        )
-        if not any(b in lose_set for b in bigger):
-            out.append(m)
-    return tuple(sorted(out))
+    return tuple(_class_antichains(g)[1])
 
 
 def shift_maximal_losing(g: SimpleGame) -> tuple[Model, ...]:

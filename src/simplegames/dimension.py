@@ -30,12 +30,12 @@ on the class-count profiles of the two coalitions and of their intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
 from . import desirability
-from ._exactlp import GEQ, LEQ, LinearSystem
+from .certificates import _swap_split
 from .core import (
     MAX_TABLE_PLAYERS,
     Coalition,
@@ -47,7 +47,7 @@ from .core import (
     _popcount,
 )
 from .hierarchical import HierarchicalSpec, Kind
-from .lpsep import WeightedRep, _canonical_rep, _incidence, threshold_table
+from .lpsep import WeightedRep, _canonical_rep, _incidence_rows, _separate, threshold_table
 
 _ORBIT_MEMO_MAX_N = MAX_TABLE_PLAYERS
 
@@ -105,6 +105,11 @@ def _trivial_all_win_rep(n: int) -> WeightedRep:
     return WeightedRep((Fraction(0),) * n, Fraction(0))
 
 
+def _one_part_report(part: WeightedRep, note: str) -> DimensionReport:
+    """Report on a degenerate game: no cover to search, one part suffices."""
+    return DimensionReport(part.n, 0, 1, 1, 1, (), IntersectionRep(part.n, (part,)), (note,))
+
+
 def _single_loss_part(g: SimpleGame, lose_mask: int) -> WeightedRep:
     """Closed-form part winning all of W and losing one coalition: unit
     weights off the coalition, quota one."""
@@ -134,31 +139,25 @@ class PartOracle:
     maximal losing coalition of the game?
 
     Queries run through (in order): the orbit cache keyed by class-count
-    profiles (pairs only), a swap-pattern trading certificate scan,
-    previously found witnesses, and finally the exact LP.  Every feasible
-    verdict stores its witness.
+    profiles (pairs only), the capped length-2 swap scan of ``certificates``
+    (pairs only), previously found witnesses, and finally the exact
+    separation LP of ``lpsep``, whose game side is built once, here.  Every
+    feasible verdict stores its witness.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
         self.g = g
         self.n = g.n
         self.mode = mode
-        fixed = g.minwin_masks if mode == "lose" else maximal_losing_masks(g)
-        fixed_sense, fixed_rhs = (GEQ, 0) if mode == "lose" else (LEQ, -1)
-        self._fixed_rows = [
-            (
-                tuple(Fraction(v) for v in _incidence(m, g.n)) + (Fraction(-1),),
-                fixed_sense,
-                Fraction(fixed_rhs),
-            )
-            for m in fixed
-        ]
-        self._fixed_masks = list(fixed)
-        self._q_row = (tuple([Fraction(0)] * g.n) + (Fraction(1),), GEQ, Fraction(1))
+        if mode == "lose":
+            self._fixed_rows = _incidence_rows(g.minwin_masks, g.n, True)
+        else:
+            self._fixed_rows = _incidence_rows(maximal_losing_masks(g), g.n, False)
         self._set_memo: dict[frozenset[int], WeightedRep | None] = {}
         self._pair_orbit: dict[tuple, bool] | None = None
         self._partition = None
-        self._witnesses: list[WeightedRep] = []
+        # stored witnesses with their (integer) weights and quota
+        self._witnesses: list[tuple[WeightedRep, list[int], int]] = []
         self.lp_calls = 0
         if g.n <= _ORBIT_MEMO_MAX_N and desirability.is_complete(g):
             self._partition = desirability.equivalence_classes(g)
@@ -175,48 +174,20 @@ class PartOracle:
         return (ma, mb, mi)
 
     def _witness_handles(self, masks) -> WeightedRep | None:
-        if self.mode == "lose":
-            for rep in self._witnesses:
-                if all(rep.weight_of_mask(y) < rep.quota for y in masks):
-                    return rep
-        else:
-            for rep in self._witnesses:
-                if all(rep.weight_of_mask(m) >= rep.quota for m in masks):
-                    return rep
+        lose = self.mode == "lose"
+        for rep, weights, quota in self._witnesses:
+            if all((sum(weights[i] for i in _bits(m)) < quota) == lose for m in masks):
+                return rep
         return None
 
     def _lp(self, masks: frozenset[int]) -> WeightedRep | None:
         self.lp_calls += 1
-        var_sense, var_rhs = (LEQ, -1) if self.mode == "lose" else (GEQ, 0)
-        system = LinearSystem(self.n + 1)
-        system.rows.extend(self._fixed_rows)
-        for y in sorted(masks):
-            system.rows.append(
-                (
-                    tuple(Fraction(v) for v in _incidence(y, self.n)) + (Fraction(-1),),
-                    var_sense,
-                    Fraction(var_rhs),
-                )
-            )
-        system.rows.append(self._q_row)
-        lose = sorted(masks) if self.mode == "lose" else self._fixed_masks
-        win = self._fixed_masks if self.mode == "lose" else sorted(masks)
-
-        def repair(xf):
-            for denom in (1, 16, 10**4, 10**8):
-                w = [Fraction(v).limit_denominator(denom) for v in xf[: self.n]]
-                lo = max((sum(w[i] for i in _bits(y)) for y in lose), default=Fraction(0)) + 1
-                hi = min((sum(w[i] for i in _bits(m)) for m in win), default=None)
-                q = max(lo, Fraction(1))
-                if hi is None or q <= hi:
-                    return tuple(w) + (q,)
-            return None
-
-        res = system.solve(repair=repair)
+        variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
+        res = _separate(self.n, self._fixed_rows, variable)
         if not res.feasible:
             return None
         rep = _canonical_rep(res.x[: self.n], res.x[self.n])
-        self._witnesses.append(rep)
+        self._witnesses.append((rep, [int(w) for w in rep.weights], int(rep.quota)))
         return rep
 
     # -- queries -------------------------------------------------------------
@@ -249,36 +220,12 @@ class PartOracle:
         pair = frozenset((a, b))
         if pair in self._set_memo:
             return self._set_memo[pair] is not None
-        if self._swap_certificate_exists(a, b):
+        if _swap_split(self.g, a, b, self.mode == "lose") is not None:
             self._set_memo[pair] = None
             return False
         rep = self._witness_handles((a, b)) or self._lp(pair)
         self._set_memo[pair] = rep
         return rep is not None
-
-    def _swap_certificate_exists(self, a: int, b: int) -> bool:
-        """Length-2 trading certificate pinning the pair to distinct parts.
-
-        Mode ``lose``: split the multiset union of two losing coalitions
-        into two winning ones.  Mode ``win``: split two winning coalitions
-        into two losing ones; either way a part handling both would violate
-        weight conservation.
-        """
-        delta = a ^ b
-        if delta == 0 or _popcount(delta) > 20:
-            return False
-        both = a & b
-        low = delta & -delta
-        rest = delta ^ low
-        wins = self.g.wins_mask
-        want = self.mode == "lose"
-        sub = rest
-        while True:
-            if wins(both | low | sub) == want and wins(both | (rest ^ sub)) == want:
-                return True
-            if sub == 0:
-                return False
-            sub = (sub - 1) & rest
 
 
 def incompatibility_graph(
@@ -309,10 +256,7 @@ def _greedy_clique(adj: list[int]) -> list[int]:
         cand = adj[start]
         while cand:
             pick, pick_deg = -1, -1
-            c = cand
-            while c:
-                v = (c & -c).bit_length() - 1
-                c &= c - 1
+            for v in _bits(cand):
                 deg = _popcount(cand & adj[v])
                 if deg > pick_deg:
                     pick, pick_deg = v, deg
@@ -334,12 +278,7 @@ def _max_clique(adj: list[int]) -> list[int]:
             if len(clique) > len(best):
                 best = clique[:]
             return
-        cand = []
-        m = cand_mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            cand.append(v)
+        cand = _bits(cand_mask)
         color_classes: list[int] = []
         color_of: dict[int, int] = {}
         for v in cand:
@@ -376,10 +315,7 @@ def _is_bipartite(adj: list[int]) -> bool:
         stack = [s]
         while stack:
             v = stack.pop()
-            nb = adj[v]
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
+            for u in _bits(adj[v]):
                 if color[u] < 0:
                     color[u] = color[v] ^ 1
                     stack.append(u)
@@ -417,7 +353,8 @@ def _greedy_cover(
         block = [seed]
         block_adj = adj[seed]
         rep = oracle.separable_set(frozenset((verts[seed],)))
-        assert rep is not None, "singleton blocks are always feasible"
+        if rep is None:
+            raise AssertionError("singleton blocks are always feasible")
         for e in uncovered[1:]:
             if block_adj >> e & 1:
                 continue
@@ -486,10 +423,20 @@ def _exists_cover(
     return None
 
 
-def _cover_engine(
-    verts: list[int], oracle: PartOracle, budget: Budget
-) -> tuple[int, int, int | None, list[tuple[list[int], WeightedRep]], list[int], list[str]]:
-    """Shared bounds-plus-exact pipeline for both cover directions."""
+def _cover_report(
+    g: SimpleGame, verts: list[int], mode: Literal["lose", "win"], budget: Budget
+) -> DimensionReport:
+    """Bounds-plus-exact pipeline for both cover directions.
+
+    Mode ``lose`` covers L_max and its parts must intersect to the game;
+    mode ``win`` covers W_min and its parts must unite to it.  The witness
+    is checked against the game's table whenever there is one.
+    """
+    if len(verts) > budget.max_lmax:
+        name = "L_max" if mode == "lose" else "W_min"
+        note = f"|{name}|={len(verts)} exceeds budget {budget.max_lmax}: bounds only"
+        return DimensionReport(g.n, len(verts), 1, len(verts), None, (), None, (note,))
+    oracle = PartOracle(g, mode)
     notes: list[str] = []
     adj = _graph_on(verts, oracle)
     if len(verts) <= budget.clique_exact:
@@ -503,7 +450,8 @@ def _cover_engine(
         notes.append("odd cycle in incompatibility graph raises lower bound to 3")
     blocks = _greedy_cover(oracle, verts, adj)
     upper = len(blocks)
-    assert lower <= upper, "bound inversion: oracle inconsistency"
+    if lower > upper:
+        raise AssertionError("bound inversion: oracle inconsistency")
     exact: int | None = None
     if lower == upper:
         exact = upper
@@ -512,7 +460,7 @@ def _cover_engine(
             for d in range(lower, upper):
                 found = _exists_cover(oracle, verts, adj, d, clique, budget.max_nodes)
                 if found is not None:
-                    exact = d
+                    exact = upper = d
                     blocks = [
                         (blk, oracle.separable_set(frozenset(verts[v] for v in blk)))
                         for blk in found
@@ -522,7 +470,20 @@ def _cover_engine(
                 exact = upper
         except BudgetExceeded as exc:
             notes.append(str(exc))
-    return lower, upper, exact, blocks, clique, notes
+    witness = IntersectionRep(g.n, tuple(rep for _, rep in blocks))
+    if g.n <= MAX_TABLE_PLAYERS:
+        if mode == "lose" and intersect_games(witness.parts, g.n) != g:
+            raise AssertionError("cover witness failed verification")
+        if mode == "win":
+            union_table = 0
+            for part in witness.parts:
+                union_table |= threshold_table(part.weights, part.quota, g.n)
+            if union_table != g.table:
+                raise AssertionError("union cover witness failed verification")
+    witness_lower = tuple(Coalition(verts[v], g.n) for v in clique)
+    return DimensionReport(
+        g.n, len(verts), lower, upper, exact, witness_lower, witness, tuple(notes)
+    )
 
 
 def exact_dimension(g: SimpleGame, budget: Budget | None = None) -> DimensionReport:
@@ -532,28 +493,11 @@ def exact_dimension(g: SimpleGame, budget: Budget | None = None) -> DimensionRep
     by convention.  When the budget is exhausted the report carries bounds
     with ``exact=None``.
     """
-    budget = budget or Budget()
     maxlose = maximal_losing_masks(g)
     if not maxlose:
-        rep = IntersectionRep(g.n, (_trivial_all_win_rep(g.n),))
-        return DimensionReport(
-            g.n, 0, 1, 1, 1, (), rep, ("all-winning game: dimension 1 by convention",)
-        )
-    if len(maxlose) > budget.max_lmax:
-        note = f"|L_max|={len(maxlose)} exceeds budget {budget.max_lmax}: bounds only"
-        return DimensionReport(g.n, len(maxlose), 1, len(maxlose), None, (), None, (note,))
-    oracle = PartOracle(g, "lose")
-    lower, upper, exact, blocks, clique, notes = _cover_engine(maxlose, oracle, budget)
-    if exact is not None:
-        upper = min(upper, exact)
-    parts = tuple(rep for _, rep in blocks)
-    witness_upper = IntersectionRep(g.n, parts)
-    if g.n <= MAX_TABLE_PLAYERS and intersect_games(witness_upper.parts, g.n) != g:
-        raise AssertionError("cover witness failed verification")
-    witness_lower = tuple(Coalition(maxlose[v], g.n) for v in clique)
-    return DimensionReport(
-        g.n, len(maxlose), lower, upper, exact, witness_lower, witness_upper, tuple(notes)
-    )
+        note = "all-winning game: dimension 1 by convention"
+        return _one_part_report(_trivial_all_win_rep(g.n), note)
+    return _cover_report(g, maxlose, "lose", budget or Budget())
 
 
 def conjunctive_intersection_rep(spec: HierarchicalSpec) -> IntersectionRep:
@@ -573,16 +517,7 @@ def conjunctive_intersection_rep(spec: HierarchicalSpec) -> IntersectionRep:
 def codimension(g: SimpleGame, budget: Budget | None = None) -> DimensionReport:
     """Minimum union size, computed as the dimension of the dual game."""
     report = exact_dimension(dual_game(g), budget)
-    return DimensionReport(
-        report.n,
-        report.num_maximal_losing,
-        report.lower,
-        report.upper,
-        report.exact,
-        report.witness_lower,
-        report.witness_upper,
-        report.notes + ("computed on the dual game",),
-    )
+    return replace(report, notes=report.notes + ("computed on the dual game",))
 
 
 def codimension_direct(g: SimpleGame, budget: Budget | None = None) -> DimensionReport:
@@ -593,33 +528,12 @@ def codimension_direct(g: SimpleGame, budget: Budget | None = None) -> Dimension
     with :func:`codimension` (they are the same cover problem under
     complementation); kept as a distinct route for cross-checking.
     """
-    budget = budget or Budget()
     minwin = list(g.minwin_masks)
     if not minwin:
         # all-lose game is the union of one weighted game losing everything
-        rep = IntersectionRep(g.n, (WeightedRep((Fraction(0),) * g.n, Fraction(1)),))
-        return DimensionReport(g.n, 0, 1, 1, 1, (), rep, ("all-losing game: codimension 1",))
+        all_lose = WeightedRep((Fraction(0),) * g.n, Fraction(1))
+        return _one_part_report(all_lose, "all-losing game: codimension 1")
     if minwin[0] == 0:
-        rep = IntersectionRep(g.n, (_trivial_all_win_rep(g.n),))
-        return DimensionReport(
-            g.n, 0, 1, 1, 1, (), rep, ("all-winning game: codimension 1 by convention",)
-        )
-    if len(minwin) > budget.max_lmax:
-        note = f"|W_min|={len(minwin)} exceeds budget {budget.max_lmax}: bounds only"
-        return DimensionReport(g.n, len(minwin), 1, len(minwin), None, (), None, (note,))
-    oracle = PartOracle(g, "win")
-    lower, upper, exact, blocks, clique, notes = _cover_engine(minwin, oracle, budget)
-    if exact is not None:
-        upper = min(upper, exact)
-    parts = tuple(rep for _, rep in blocks)
-    witness = IntersectionRep(g.n, parts)
-    if g.n <= MAX_TABLE_PLAYERS:
-        union_table = 0
-        for part in parts:
-            union_table |= threshold_table(part.weights, part.quota, g.n)
-        if union_table != g.table:
-            raise AssertionError("union cover witness failed verification")
-    witness_lower = tuple(Coalition(minwin[v], g.n) for v in clique)
-    return DimensionReport(
-        g.n, len(minwin), lower, upper, exact, witness_lower, witness, tuple(notes)
-    )
+        note = "all-winning game: codimension 1 by convention"
+        return _one_part_report(_trivial_all_win_rep(g.n), note)
+    return _cover_report(g, minwin, "win", budget or Budget())

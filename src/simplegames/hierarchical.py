@@ -14,11 +14,13 @@ declared classes are exactly the desirability classes of the built game
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .core import MAX_PLAYERS, Coalition, InvalidGameError, SimpleGame, make_game_from_masks
-from .desirability import Model
+from .desirability import Model, _model_antichains
 
 _MODEL_SPACE_LIMIT = 4_000_000
 
@@ -86,49 +88,26 @@ def model_winning(spec: HierarchicalSpec, model: Model) -> bool:
     return any(hits) if spec.kind is Kind.DISJUNCTIVE else all(hits)
 
 
-def _minimal_winning_models(spec: HierarchicalSpec) -> list[Model]:
-    space = 1
-    for s in spec.n_vec:
-        space *= s + 1
-    if space > _MODEL_SPACE_LIMIT:
+def _game_of_models(n_vec: tuple[int, ...], wins: Callable[[Model], bool]) -> SimpleGame:
+    """Game over ``sum(n_vec)`` players in contiguous classes whose winning
+    coalitions are those with a winning model under the monotone ``wins``."""
+    if math.prod(s + 1 for s in n_vec) > _MODEL_SPACE_LIMIT:
         raise InvalidGameError("model space too large to enumerate")
-    winning = set()
-    for model in itertools.product(*(range(s + 1) for s in spec.n_vec)):
-        if model_winning(spec, model):
-            winning.add(model)
-    out = []
-    for m in winning:
-        smaller = (
-            tuple(m[k] - (k == c) for k in range(len(m))) for c in range(len(m)) if m[c] > 0
-        )
-        if not any(s in winning for s in smaller):
-            out.append(m)
-    return sorted(out)
-
-
-def _expand_classes(class_players: list[tuple[int, ...]], model: Model):
-    per_class = []
-    for players, count in zip(class_players, model):
-        per_class.append(
+    classes = [range(end - s, end) for s, end in zip(n_vec, itertools.accumulate(n_vec))]
+    minimal, _ = _model_antichains(n_vec, wins)
+    masks = []
+    for model in minimal:
+        per_class = [
             [sum(1 << p for p in combo) for combo in itertools.combinations(players, count)]
-        )
-    for parts in itertools.product(*per_class):
-        mask = 0
-        for p in parts:
-            mask |= p
-        yield mask
-
-
-def _expand_model(spec: HierarchicalSpec, model: Model):
-    yield from _expand_classes([spec.class_players(c) for c in range(spec.m)], model)
+            for players, count in zip(classes, model)
+        ]
+        masks.extend(sum(parts) for parts in itertools.product(*per_class))
+    return make_game_from_masks(sum(n_vec), masks)
 
 
 def build(spec: HierarchicalSpec) -> SimpleGame:
     """Game over ``sum(n_vec)`` players with the spec's winning predicate."""
-    masks = []
-    for model in _minimal_winning_models(spec):
-        masks.extend(_expand_model(spec, model))
-    return make_game_from_masks(spec.num_players, masks)
+    return _game_of_models(spec.n_vec, lambda model: model_winning(spec, model))
 
 
 @dataclass(frozen=True)
@@ -272,27 +251,8 @@ def build_tripartite(n: tuple[int, int, int], k: tuple[int, int, int]) -> Simple
     k1, k2, k3 = k
     if not (k1 < k3 and k2 < k3 and n1 >= k1 and n2 > k2 - k1 and n3 > k3 - k2):
         raise InvalidGameError(f"tripartite constraints violated for n={n}, k={k}")
-    total = n1 + n2 + n3
-    if total > MAX_PLAYERS:
-        raise InvalidGameError(f"total players {total} exceeds cap {MAX_PLAYERS}")
-    winning = set()
-    for model in itertools.product(range(n1 + 1), range(n2 + 1), range(n3 + 1)):
-        c1, c2, c3 = model
-        if c1 >= k1 or (c1 + c2 >= k2 and c1 + c2 + c3 >= k3):
-            winning.add(model)
-    minimal = []
-    for mdl in winning:
-        smaller = (
-            tuple(mdl[t] - (t == c) for t in range(3)) for c in range(3) if mdl[c] > 0
-        )
-        if not any(s in winning for s in smaller):
-            minimal.append(mdl)
-    classes = [
-        tuple(range(0, n1)),
-        tuple(range(n1, n1 + n2)),
-        tuple(range(n1 + n2, total)),
-    ]
-    masks = []
-    for mdl in sorted(minimal):
-        masks.extend(_expand_classes(classes, mdl))
-    return make_game_from_masks(total, masks)
+    if n1 + n2 + n3 > MAX_PLAYERS:
+        raise InvalidGameError(f"total players {n1 + n2 + n3} exceeds cap {MAX_PLAYERS}")
+    return _game_of_models(
+        n, lambda u: u[0] >= k1 or (u[0] + u[1] >= k2 and u[0] + u[1] + u[2] >= k3)
+    )

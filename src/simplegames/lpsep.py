@@ -7,6 +7,12 @@ a margin of one after clearing denominators, so ``separable`` solves the
 closed system ``w(M) >= q`` / ``w(Y) <= q - 1`` / ``q >= 1`` exactly and a
 returned witness is a genuine strict separator.
 
+This module holds the package's one builder for that system
+(``_separate``).  It serves ``separable``, the Farkas route of certificate
+search, the class-weight route of ``is_weighted`` (coefficients are member
+counts per desirability class instead of 0/1 incidences) and the dimension
+oracle, which keeps the game's own side of the system as prebuilt rows.
+
 All verdicts are exact: the LP layer only accepts float results whose
 witnesses survive exact rational verification (see ``_exactlp``).
 """
@@ -34,8 +40,24 @@ from .core import (
 _MODEL_SPACE_LIMIT = 5_000
 
 
+class _Weights:
+    """Player count and coalition weight, shared by both representation kinds."""
+
+    weights: tuple[Fraction, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    def weight_of_mask(self, mask: int) -> Fraction:
+        total = Fraction(0)
+        for i in _bits(mask):
+            total += self.weights[i]
+        return total
+
+
 @dataclass(frozen=True)
-class WeightedRep:
+class WeightedRep(_Weights):
     """Nonnegative weights and a quota with ``X wins iff w(X) >= quota``.
 
     The quota is positive except for the degenerate all-coalitions-win game,
@@ -55,16 +77,6 @@ class WeightedRep:
         if self.quota == 0 and any(self.weights):
             raise InvalidGameError("zero quota is reserved for the trivial all-win form")
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def weight_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for i in _bits(mask):
-            total += self.weights[i]
-        return total
-
     def weight_of(self, x: Coalition) -> Fraction:
         return self.weight_of_mask(x.mask)
 
@@ -73,7 +85,7 @@ class WeightedRep:
 
 
 @dataclass(frozen=True)
-class RoughRep:
+class RoughRep(_Weights):
     """Weights/quota where strictly-below implies losing and strictly-above
     implies winning; coalitions exactly at the quota are unconstrained."""
 
@@ -88,70 +100,51 @@ class RoughRep:
         if not any(self.weights) and self.quota == 0:
             raise InvalidGameError("weights and quota cannot all be zero")
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    def weight_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for i in _bits(mask):
-            total += self.weights[i]
-        return total
-
 
 def _canonical_rep(weights: Sequence[Fraction], quota: Fraction) -> WeightedRep:
     """Scale a witness to coprime integers for stable, readable output."""
     denom = math.lcm(quota.denominator, *(w.denominator for w in weights))
-    ints = [int(w * denom) for w in weights] + [int(quota * denom)]
-    g = math.gcd(*ints) if any(ints) else 1
-    scale = Fraction(denom, g if g else 1)
-    return WeightedRep(tuple(w * scale for w in weights), quota * scale)
+    ints = [v.numerator * (denom // v.denominator) for v in (*weights, quota)]
+    g = math.gcd(*ints) or 1
+    return WeightedRep(tuple(v // g for v in ints[:-1]), ints[-1] // g)
 
 
 def separable(
     n: int,
-    must_win: Iterable[Coalition],
-    must_lose: Iterable[Coalition],
+    must_win: Iterable[Coalition | int],
+    must_lose: Iterable[Coalition | int],
 ) -> WeightedRep | None:
     """Weighted game winning every superset of ``must_win`` members while
     losing every coalition in ``must_lose``, or None if none exists.
 
     Infeasibility is an answer, not an error; nonnegative weights make the
     win side close upward and the lose side close downward automatically.
+    Coalitions over another player count and masks with members outside
+    ``0..n-1`` raise :class:`InvalidGameError`.
     """
-    win_masks = [c.mask if isinstance(c, Coalition) else int(c) for c in must_win]
-    lose_masks = [c.mask if isinstance(c, Coalition) else int(c) for c in must_lose]
-    return separable_masks(n, win_masks, lose_masks)
+    return separable_masks(n, _checked_masks(n, must_win), _checked_masks(n, must_lose))
+
+
+def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
+    masks = []
+    for c in coalitions:
+        if isinstance(c, Coalition) and c.n != n:
+            raise InvalidGameError(f"coalition over {c.n} players, separation over {n}")
+        mask = c.mask if isinstance(c, Coalition) else int(c)
+        if not 0 <= mask < 1 << n:
+            raise InvalidGameError(f"mask {mask} has members outside 0..{n - 1}")
+        masks.append(mask)
+    return masks
 
 
 def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int]) -> WeightedRep | None:
     win = antichain_reduce(win_masks)
-    lose = _inclusion_maximal(lose_masks)
+    lose = _inclusion_maximal(lose_masks, n)
     for y in lose:
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
-    system = LinearSystem(n + 1)
-    for m in win:
-        system.add(_incidence(m, n) + [-1], GEQ, 0)
-    for y in lose:
-        system.add(_incidence(y, n) + [-1], LEQ, -1)
-    q_row = [0] * n + [1]
-    system.add(q_row, GEQ, 1)
-
-    def repair(xf: list[float]) -> tuple[Fraction, ...] | None:
-        for denom in (1, 16, 10**4, 10**8):
-            w = [Fraction(v).limit_denominator(denom) for v in xf[:n]]
-            lo = max((sum(w[i] for i in _bits(y)) for y in lose), default=Fraction(0)) + 1
-            hi = min((sum(w[i] for i in _bits(m)) for m in win), default=None)
-            q = max(lo, Fraction(1))
-            if hi is None or q <= hi:
-                return tuple(w) + (q,)
-        return None
-
-    res = system.solve(repair=repair)
-    if not res.feasible:
-        return None
-    return _canonical_rep(res.x[:n], res.x[n])
+    res = _separate(n, _incidence_rows(win, n, True), _incidence_rows(lose, n, False))
+    return _canonical_rep(res.x[:n], res.x[n]) if res.feasible else None
 
 
 def separable_result(
@@ -165,28 +158,69 @@ def separable_result(
     multipliers of an infeasible system into a trading transform.
     """
     win = antichain_reduce(win_masks)
-    lose = _inclusion_maximal(lose_masks)
-    system = LinearSystem(n + 1)
-    for m in win:
-        system.add(_incidence(m, n) + [-1], GEQ, 0)
-    for y in lose:
-        system.add(_incidence(y, n) + [-1], LEQ, -1)
-    system.add([0] * n + [1], GEQ, 1)
-    return system.solve(force_exact=True), win, lose
+    lose = _inclusion_maximal(lose_masks, n)
+    fixed = _incidence_rows(win, n, True)
+    return _separate(n, fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
+
+
+# integral rows stay plain ints, which the LP layer takes alongside Fractions
+_Row = tuple[tuple[int, ...], int, int]
+
+
+def _separation_rows(vectors: Iterable[Sequence[int]], win: bool) -> list[_Row]:
+    sense, rhs = (GEQ, 0) if win else (LEQ, -1)
+    return [(tuple(v) + (-1,), sense, rhs) for v in vectors]
+
+
+def _incidence_rows(masks: Iterable[int], n: int, win: bool) -> list[_Row]:
+    return _separation_rows((_incidence(m, n) for m in masks), win)
+
+
+def _separate(
+    width: int, fixed: list[_Row], variable: list[_Row], force_exact: bool = False
+) -> LPResult:
+    """Solve the rows ``fixed``, then ``variable``, then ``q >= 1``.
+
+    A row is ``w.v - q >= 0`` (win side) or ``w.v - q <= -1`` (lose side)
+    for an integer vector v: 0/1 player incidences or member counts per
+    class.  Callers asking many questions of one game build the game's side
+    once and pass it as ``fixed``.  A float answer is first repaired by
+    rounding the weights and setting the quota one above the heaviest lose
+    row.
+    """
+    rows = fixed + variable
+    q_row = ((0,) * width + (1,), GEQ, 1)
+
+    def repair(xf: list[float]) -> tuple[Fraction, ...] | None:
+        # row sums are taken in integers over the weights' common denominator
+        support = [
+            ([(i, int(c)) for i, c in enumerate(a[:width]) if c], sense) for a, sense, _ in rows
+        ]
+        for denom in (1, 16, 10**4, 10**8):
+            w = [Fraction(v).limit_denominator(denom) for v in xf[:width]]
+            scale = math.lcm(*(wi.denominator for wi in w))
+            w_int = [wi.numerator * (scale // wi.denominator) for wi in w]
+            sums = [(sum(c * w_int[i] for i, c in sup), sense) for sup, sense in support]
+            lo = Fraction(max((s for s, sense in sums if sense == LEQ), default=0), scale) + 1
+            hi = min((s for s, sense in sums if sense == GEQ), default=None)
+            q = max(lo, Fraction(1))
+            if hi is None or q <= Fraction(hi, scale):
+                return tuple(w) + (q,)
+        return None
+
+    return LinearSystem(width + 1, rows + [q_row]).solve(repair=repair, force_exact=force_exact)
 
 
 def _incidence(mask: int, n: int) -> list[int]:
     return [(mask >> i) & 1 for i in range(n)]
 
 
-def _inclusion_maximal(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=lambda m: (-_popcount(m), m))
-    kept: list[int] = []
-    for m in ordered:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    kept.sort(key=lambda m: (_popcount(m), m))
-    return kept
+def _inclusion_maximal(masks: Iterable[int], n: int) -> list[int]:
+    """Superset-maximal elements, in canonical order: complementing within
+    the n players turns them into the subset-minimal ones."""
+    full = (1 << n) - 1
+    maximal = (full ^ m for m in antichain_reduce(full ^ m for m in masks))
+    return sorted(maximal, key=lambda m: (_popcount(m), m))
 
 
 def is_weighted(g: SimpleGame) -> WeightedRep | None:
@@ -214,10 +248,7 @@ def _is_weighted_uncached(g: SimpleGame) -> WeightedRep | None:
         if not desirability.is_complete(g):
             return None
         part = desirability.equivalence_classes(g)
-        space = 1
-        for s in part.sizes:
-            space *= s + 1
-        if space <= _MODEL_SPACE_LIMIT:
+        if math.prod(s + 1 for s in part.sizes) <= _MODEL_SPACE_LIMIT:
             return _symmetric_weighted(g, part)
     return separable_masks(g.n, g.minwin_masks, maximal_losing_masks(g))
 
@@ -226,41 +257,14 @@ def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
     """Weightedness of a complete game decided over class weights.
 
     One variable per desirability class plus the quota; the binding rows are
-    the deletion-minimal winning and addition-maximal losing models.
+    the minimal winning and maximal losing models.
     """
-    m = len(part.classes)
-    sizes = part.sizes
-    status: dict[tuple[int, ...], bool] = {}
-    for model in part.models():
-        status[model] = g.wins_mask(part.representative_mask(model))
-    win_rows = []
-    lose_rows = []
-    for model, winning in status.items():
-        if winning:
-            if not any(
-                status[tuple(model[k] - (k == c) for k in range(m))]
-                for c in range(m)
-                if model[c] > 0
-            ):
-                win_rows.append(model)
-        else:
-            if all(
-                status[tuple(model[k] + (k == c) for k in range(m))]
-                for c in range(m)
-                if model[c] < sizes[c]
-            ):
-                lose_rows.append(model)
-    system = LinearSystem(m + 1)
-    for u in sorted(win_rows):
-        system.add(list(u) + [-1], GEQ, 0)
-    for u in sorted(lose_rows):
-        system.add(list(u) + [-1], LEQ, -1)
-    system.add([0] * m + [1], GEQ, 1)
-    res = system.solve(force_exact=True)
+    win, lose = desirability._class_antichains(g)
+    m = len(part.sizes)
+    res = _separate(m, _separation_rows(win, True), _separation_rows(lose, False), force_exact=True)
     if not res.feasible:
         return None
-    weights = tuple(res.x[part.class_of[p]] for p in range(g.n))
-    return _canonical_rep(weights, res.x[m])
+    return _canonical_rep(tuple(res.x[part.class_of[p]] for p in range(g.n)), res.x[m])
 
 
 def is_roughly_weighted(g: SimpleGame) -> RoughRep | None:

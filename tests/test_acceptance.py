@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria carry explicit
 runtime ceilings where stated; value checks are exact (zero tolerance).
 """
 
+import multiprocessing
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -304,12 +306,17 @@ def test_criterion_07_duality_and_codimension():
     _report("criterion 7: duality corpus with the union-cover oracle", t0, limit=600.0)
 
 
-def test_criterion_08_certificates_match_weightedness():
-    t0 = time.time()
+_CRITERION_08_WORKERS = 2
+
+
+def _criterion_08_share(first: int, step: int) -> tuple[int, int, int]:
+    """Check corpus entries ``first, first + step, ...`` (run in a worker
+    process); returns the corpus size and the numbers of disagreements and
+    of spot-verified certificates."""
     corpus = oracles.monotone_tables_6()
     disagreements = 0
     spot = 0
-    for idx in range(len(corpus)):
+    for idx in range(first, len(corpus), step):
         g = SimpleGame._from_table(6, int(corpus[idx]))
         weighted = is_weighted(g) is not None
         cert = find_certificate(g, 64)
@@ -320,8 +327,20 @@ def test_criterion_08_certificates_match_weightedness():
             spot += 1
         elif weighted and idx % 4096 == 0:
             assert verify_representation(g, is_weighted(g))
-    assert disagreements == 0
-    print(f"\n  corpus size {len(corpus)}, spot-verified certificates: {spot}")
+    return len(corpus), disagreements, spot
+
+
+def test_criterion_08_certificates_match_weightedness():
+    # Every game is checked: the corpus is dealt round-robin to worker
+    # processes, each of which runs the same loop on its share.
+    t0 = time.time()
+    step = _CRITERION_08_WORKERS
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(step, mp_context=spawn) as pool:
+        shares = list(pool.map(_criterion_08_share, range(step), [step] * step))
+    assert sum(d for _, d, _ in shares) == 0
+    spot = sum(s for _, _, s in shares)
+    print(f"\n  corpus size {shares[0][0]}, spot-verified certificates: {spot}")
     _report("criterion 8: certificate search agrees with the exact oracle on all 6-player games", t0)
 
 

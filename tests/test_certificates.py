@@ -1,4 +1,8 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ from simplegames import (
     find_certificate,
     is_weighted,
     losing_witness_family,
+    make_game,
     make_game_from_masks,
     pair_incompatibility_certificate,
     verify_certificate,
@@ -139,6 +144,13 @@ class TestPairCertificate:
                 majority5, Coalition.of([0, 1, 2], 5), Coalition.of([3, 4], 5)
             )
 
+    def test_symmetric_difference_above_cap_raises(self):
+        n = 22
+        unanimity = make_game(n, [Coalition((1 << n) - 1, n)])
+        y1, y2 = Coalition(0, n), Coalition((1 << 21) - 1, n)  # 21 players apart
+        with pytest.raises(InvalidGameError):
+            pair_incompatibility_certificate(unanimity, y1, y2)
+
     def test_scan_is_complete_for_length_two(self):
         # if the scan says None, no balanced split of the union can work
         rng = random.Random(52)
@@ -204,3 +216,32 @@ class TestFindCertificate:
         cert = find_certificate(g, 2)
         assert cert is not None and cert.length == 2
         assert verify_certificate(g, cert)
+
+
+def test_failed_verification_raises_under_python_O():
+    """The runtime checks behind every returned certificate are explicit
+    raises, so running with ``-O`` (which strips ``assert``) keeps them."""
+    import simplegames
+
+    code = textwrap.dedent(
+        """
+        import sys
+        import simplegames.certificates as c
+        from simplegames import make_game_from_masks
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected a run under -O")
+        c.verify_certificate = lambda g, tt: False
+        c.find_certificate(make_game_from_masks(4, [0b0011, 0b1100]), 2)
+        """
+    )
+    src = Path(simplegames.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "AssertionError: incomparability certificate failed verification" in proc.stderr

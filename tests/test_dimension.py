@@ -19,6 +19,7 @@ from simplegames import (
     dual,
     exact_dimension,
     intersect_games,
+    is_weighted,
     kurz_napel_lower,
     losing_witness_family,
     make_game,
@@ -26,9 +27,10 @@ from simplegames import (
     upper_bound_lmax,
     weighted_game,
 )
+from simplegames.certificates import _swap_split
 from simplegames.core import maximal_losing_masks
 from simplegames.dimension import PartOracle
-from simplegames.lpsep import threshold_table
+from simplegames.lpsep import separable_masks, threshold_table
 
 WIDE = Budget(max_lmax=200, clique_exact=250)
 
@@ -244,3 +246,23 @@ class TestOracleState:
         calls = oracle.lp_calls
         again = oracle.separable_set(s)
         assert first == again and oracle.lp_calls == calls
+
+
+def test_separation_routes_agree_on_random_games():
+    """Every route to a separation verdict agrees with Fourier-Motzkin, and
+    a length-2 swap split is only ever found for LP-inseparable pairs."""
+    rng = random.Random(69)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        g = make_game_from_masks(n, oracles.random_game_masks(rng, n))
+        minwin, maxlose = list(g.minwin_masks), maximal_losing_masks(g)
+        want = oracles.fm_weighted(n, minwin, maxlose)
+        assert (is_weighted(g) is not None) == want
+        assert (separable_masks(n, minwin, maxlose) is not None) == want
+        assert (PartOracle(g, "lose").separable_set(frozenset(maxlose)) is not None) == want
+        for mode, verts in (("lose", maxlose), ("win", minwin)):
+            oracle, lp_only = PartOracle(g, mode), PartOracle(g, mode)
+            for a, b in combinations(verts, 2):
+                if _swap_split(g, a, b, mode == "lose") is not None:
+                    assert not oracle.pair_compatible(a, b)
+                    assert lp_only.separable_set(frozenset((a, b))) is None

@@ -41,6 +41,17 @@ class TestSeparable:
         rep = separable(5, majority5.min_winning, [])
         assert rep is not None and rep.quota >= 1
 
+    def test_rejects_coalitions_outside_the_player_set(self):
+        for win, lose in (
+            ([0b1000], []),  # member 3 of a 3-player separation
+            ([-1], []),
+            ([], [0b1000]),
+            ([Coalition.of([0], 5)], []),  # coalition over 5 players
+            ([], [Coalition.of([0], 5)]),
+        ):
+            with pytest.raises(InvalidGameError):
+                separable(3, win, lose)
+
     def test_forced_superset_is_infeasible(self):
         g = make_game(4, [Coalition.of([0], 4)])
         assert separable(4, g.min_winning, [Coalition.of([0, 1], 4)]) is None
