@@ -185,39 +185,31 @@ def _parse_node(tokens: list[str], pos: int) -> tuple[BoolFormula, int]:
         raise FormulaSyntaxError("unexpected end of formula")
     head = tokens[pos]
     if head in ("AND", "OR"):
-        pos = _expect(tokens, pos + 1, "(")
-        children = []
-        while True:
-            child, pos = _parse_node(tokens, pos)
-            children.append(child)
-            if pos < len(tokens) and tokens[pos] == ",":
-                pos += 1
-                continue
-            pos = _expect(tokens, pos, ")")
-            break
-        node = And(tuple(children)) if head == "AND" else Or(tuple(children))
-        return node, pos
+        children, pos = _parse_list(tokens, _expect(tokens, pos + 1, "("), _parse_node)
+        return (And if head == "AND" else Or)(tuple(children)), pos
     if head == "WG":
-        pos = _expect(tokens, pos + 1, "(")
-        quota, pos = _parse_fraction(tokens, pos)
-        pos = _expect(tokens, pos, ";")
-        weights = []
-        while True:
-            w, pos = _parse_fraction(tokens, pos)
-            weights.append(w)
-            if pos < len(tokens) and tokens[pos] == ",":
-                pos += 1
-                continue
-            pos = _expect(tokens, pos, ")")
-            break
+        quota, pos = _parse_fraction(tokens, _expect(tokens, pos + 1, "("))
+        weights, pos = _parse_list(tokens, _expect(tokens, pos, ";"), _parse_fraction)
         return Leaf(WeightedRep(tuple(weights), quota)), pos
     raise FormulaSyntaxError(f"expected AND, OR or WG, got {head!r}")
 
 
+def _parse_list(tokens: list[str], pos: int, parse_item) -> tuple[list, int]:
+    """``item (, item)* )``: the items and the position after the ``)``."""
+    items = []
+    while True:
+        item, pos = parse_item(tokens, pos)
+        items.append(item)
+        if pos >= len(tokens) or tokens[pos] != ",":
+            return items, _expect(tokens, pos, ")")
+        pos += 1
+
+
 def _parse_fraction(tokens: list[str], pos: int) -> tuple[Fraction, int]:
-    if pos >= len(tokens):
-        raise FormulaSyntaxError("expected a number")
-    tok = tokens[pos]
-    if not re.fullmatch(r"-?\d+(?:/\d+)?", tok):
-        raise FormulaSyntaxError(f"expected a number, got {tok!r}")
-    return Fraction(tok), pos + 1
+    tok = tokens[pos] if pos < len(tokens) else "end of input"
+    try:
+        return Fraction(tok), pos + 1
+    except ValueError:
+        raise FormulaSyntaxError(f"expected a number, got {tok!r}") from None
+    except ZeroDivisionError:
+        raise FormulaSyntaxError(f"zero denominator in {tok!r}") from None

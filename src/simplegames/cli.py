@@ -10,17 +10,20 @@ Game files are line-oriented text::
 The header names the format version.  Instead of ``n``/``w`` lines a file may
 hold one ``hier <disj|conj> n=<list> k=<list>`` line or one
 ``formula <AND/OR/WG expression>`` line.  Blank lines and ``#`` comments are
-ignored.  Exit codes: 0 success, 1 usage or parse error, 2 exact search gave
-up under budget, 3 assertion failure in a repro scenario.
+ignored.  Exit codes: 0 success, 1 usage error or a game file that cannot be
+read or parsed, 2 exact search gave up under budget, 3 assertion failure in a
+repro scenario.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import boolean, certificates, desirability, dimension, hierarchical, lpsep
@@ -66,22 +69,18 @@ def load_game(text: str) -> tuple[SimpleGame, str]:
     if not body:
         raise GameFileError("missing game description after header")
     first = body[0][1].split()
-    if first[0] == "hier":
+    if first[0] in ("hier", "formula"):
         if len(body) > 1:
-            raise GameFileError(f"line {body[1][0]}: unexpected content after hier line")
-        spec = _parse_hier_tokens(first[1:], body[0][0])
-        return hierarchical.build(spec), f"hier {spec.kind.value} n={spec.n_vec} k={spec.k_vec}"
-    if first[0] == "formula":
-        if len(body) > 1:
-            raise GameFileError(f"line {body[1][0]}: unexpected content after formula line")
-        raw = body[0][1].split(None, 1)
-        if len(raw) < 2:
-            raise GameFileError(f"line {body[0][0]}: formula line has no expression")
+            raise GameFileError(f"line {body[1][0]}: unexpected content after {first[0]} line")
         try:
-            formula = boolean.parse_formula(raw[1])
-        except boolean.FormulaSyntaxError as exc:
+            if first[0] == "formula":
+                return _formula_game(body[0][1][len("formula") :])
+            fields = dict(tok.partition("=")[::2] for tok in first[2:])
+            if len(first) != 4 or set(fields) != {"n", "k"}:
+                raise GameFileError("expected 'hier <disj|conj> n=<list> k=<list>'")
+            return _hier_game(first[1], fields["n"], fields["k"])
+        except GameFileError as exc:
             raise GameFileError(f"line {body[0][0]}: {exc}") from exc
-        return boolean.formula_game(formula), "formula"
     if first[0] != "n" or len(first) != 2:
         raise GameFileError(f"line {body[0][0]}: expected 'n <players>', got {body[0][1]!r}")
     try:
@@ -123,25 +122,21 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise GameFileError(f"bad {what} list {text!r}") from exc
 
 
-def _parse_hier_tokens(tokens: Sequence[str], line_no: int | None = None) -> hierarchical.HierarchicalSpec:
-    where = f"line {line_no}: " if line_no else ""
-    if len(tokens) != 3:
-        raise GameFileError(f"{where}expected 'hier <disj|conj> n=<list> k=<list>'")
-    kind = _parse_kind(tokens[0])
-    n_vec = k_vec = None
-    for tok in tokens[1:]:
-        if tok.startswith("n="):
-            n_vec = _parse_int_list(tok[2:], "n")
-        elif tok.startswith("k="):
-            k_vec = _parse_int_list(tok[2:], "k")
-        else:
-            raise GameFileError(f"{where}unexpected token {tok!r}")
-    if n_vec is None or k_vec is None:
-        raise GameFileError(f"{where}hier line needs both n= and k=")
+def _hier_game(kind: str, n: str, k: str) -> tuple[SimpleGame, str]:
     try:
-        return hierarchical.HierarchicalSpec(kind, n_vec, k_vec)
+        spec = hierarchical.HierarchicalSpec(
+            _parse_kind(kind), _parse_int_list(n, "n"), _parse_int_list(k, "k")
+        )
     except InvalidGameError as exc:
-        raise GameFileError(f"{where}{exc}") from exc
+        raise GameFileError(str(exc)) from exc
+    return hierarchical.build(spec), f"hier {spec.kind.value} n={spec.n_vec} k={spec.k_vec}"
+
+
+def _formula_game(expr: str) -> tuple[SimpleGame, str]:
+    try:
+        return boolean.formula_game(boolean.parse_formula(expr)), "formula"
+    except boolean.FormulaSyntaxError as exc:
+        raise GameFileError(str(exc)) from exc
 
 
 def _parse_kind(token: str) -> hierarchical.Kind:
@@ -211,15 +206,15 @@ def _game_from_args(args) -> tuple[SimpleGame, str]:
     if len(sources) != 1:
         raise GameFileError("exactly one of --game, --hier, --os3, --formula is required")
     if args.game:
-        text = sys.stdin.read() if args.game == "-" else open(args.game).read()
+        try:
+            text = sys.stdin.read() if args.game == "-" else Path(args.game).read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GameFileError(f"cannot read game file {args.game}: {exc}") from exc
         return load_game(text)
     if args.hier:
         if not args.n or not args.k:
             raise GameFileError("--hier needs --n and --k")
-        spec = hierarchical.HierarchicalSpec(
-            _parse_kind(args.hier), _parse_int_list(args.n, "n"), _parse_int_list(args.k, "k")
-        )
-        return hierarchical.build(spec), f"hier {spec.kind.value} n={spec.n_vec} k={spec.k_vec}"
+        return _hier_game(args.hier, args.n, args.k)
     if args.os3:
         params = {}
         for tok in args.os3:
@@ -231,11 +226,7 @@ def _game_from_args(args) -> tuple[SimpleGame, str]:
             raise GameFileError("--os3 needs both k= and m=")
         game, _ = hierarchical.losing_witness_family(params["k"], params["m"])
         return game, f"layered family k={params['k']} m={params['m']}"
-    try:
-        formula = boolean.parse_formula(args.formula)
-    except boolean.FormulaSyntaxError as exc:
-        raise GameFileError(str(exc)) from exc
-    return boolean.formula_game(formula), "formula"
+    return _formula_game(args.formula)
 
 
 # -- analyze -----------------------------------------------------------------
@@ -415,25 +406,14 @@ def _scenario_os3(results) -> None:
     maxlose = maximal_losing_masks(game)
     shiftmax = desirability.shift_maximal_losing(game)
     shape_count = k ** m * (2 * k - 1) ** (m - 1)
-    part = desirability.equivalence_classes(game)
-    from math import comb
-
-    per_model = {
-        mod: _count_model_coalitions(part, mod, comb) for mod in shiftmax
-    }
+    sizes = desirability.equivalence_classes(game).sizes
+    count = sum(math.prod(map(math.comb, sizes, model)) for model in shiftmax)
     _check(
         results,
         "os3 shift-maximal losing count = k^m (2k-1)^(m-1)",
-        sum(per_model.values()) == shape_count,
-        f"models={shiftmax} count={sum(per_model.values())} |L_max|={len(maxlose)}",
+        count == shape_count,
+        f"models={shiftmax} count={count} |L_max|={len(maxlose)}",
     )
-
-
-def _count_model_coalitions(part, model, comb) -> int:
-    total = 1
-    for size, count in zip(part.sizes, model):
-        total *= comb(size, count)
-    return total
 
 
 def _scenario_osconj(results) -> None:
@@ -506,14 +486,12 @@ def _scenario_delta1(results) -> None:
 def _all_monotone_games(n: int) -> list[SimpleGame]:
     tables = [0, 1]
     for bit in range(n):
-        width = 1 << (1 << bit)
         tables = [
             f0 | (f1 << (1 << bit))
             for f0 in tables
             for f1 in tables
             if f0 & ~f1 == 0
         ]
-        tables = list(dict.fromkeys(tables))
     out = []
     for t in tables:
         game = SimpleGame._from_table(n, t)
@@ -604,7 +582,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (GameFileError, InvalidGameError, TableSizeError, FileNotFoundError) as exc:
+    except (GameFileError, InvalidGameError, TableSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

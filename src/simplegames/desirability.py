@@ -10,7 +10,9 @@ Shift comparisons between models use prefix-sum domination.  Moving a member
 of a coalition to a more desirable class (or adding a member) raises some
 prefix sums and lowers none, so a model ``u`` is reachable from ``v`` by
 deletions and down-shifts exactly when every prefix sum of ``u`` is at most
-the corresponding prefix sum of ``v``.
+the corresponding prefix sum of ``v``.  Adding a member is such a move, so the
+shift-maximal losing (shift-minimal winning) models are found among the
+inclusion-maximal losing (minimal winning) models.
 """
 
 from __future__ import annotations
@@ -184,10 +186,6 @@ def _class_partition(g: SimpleGame) -> ClassPartition:
     return ClassPartition(g.n, tuple(tuple(sorted(c)) for c in classes), tuple(class_of))
 
 
-def model_winning(g: SimpleGame, part: ClassPartition, model: Model) -> bool:
-    return g.wins_mask(part.representative_mask(model))
-
-
 def _prefix_leq(u: Model, v: Model) -> bool:
     """Shift order: u reachable from v by deletions and down-shifts."""
     acc_u = acc_v = 0
@@ -197,15 +195,6 @@ def _prefix_leq(u: Model, v: Model) -> bool:
         if acc_u > acc_v:
             return False
     return True
-
-
-def _model_scan(g: SimpleGame) -> tuple[ClassPartition, list[Model], list[Model]]:
-    part = equivalence_classes(g)
-    winning: list[Model] = []
-    losing: list[Model] = []
-    for model in part.models():
-        (winning if model_winning(g, part, model) else losing).append(model)
-    return part, winning, losing
 
 
 def _model_antichains(
@@ -253,15 +242,16 @@ def shift_maximal_losing(g: SimpleGame) -> tuple[Model, ...]:
     """Models of losing coalitions maximal under the shift order.
 
     Every replacement of a member by a strictly more desirable player (and
-    every addition) turns them winning.
+    every addition) turns them winning.  Such a model is inclusion-maximal,
+    and a losing model shift-dominated by another is dominated by a maximal
+    one, so the filter runs over the maximal losing models only.
     """
-    _, _, losing = _model_scan(g)
-    out = [u for u in losing if not any(v != u and _prefix_leq(u, v) for v in losing)]
-    return tuple(sorted(out))
+    maximal = _class_antichains(g)[1]
+    return tuple(u for u in maximal if not any(v != u and _prefix_leq(u, v) for v in maximal))
 
 
 def shift_minimal_winning(g: SimpleGame) -> tuple[Model, ...]:
-    """Models of winning coalitions minimal under the shift order."""
-    _, winning, _ = _model_scan(g)
-    out = [u for u in winning if not any(v != u and _prefix_leq(v, u) for v in winning)]
-    return tuple(sorted(out))
+    """Models of winning coalitions minimal under the shift order (the
+    dual filter, over the minimal winning models)."""
+    minimal = _class_antichains(g)[0]
+    return tuple(u for u in minimal if not any(v != u and _prefix_leq(v, u) for v in minimal))

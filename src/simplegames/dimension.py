@@ -30,8 +30,10 @@ on the class-count profiles of the two coalitions and of their intersection.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from typing import Literal
 
 from . import desirability
@@ -193,15 +195,9 @@ class PartOracle:
     # -- queries -------------------------------------------------------------
 
     def separable_set(self, masks: frozenset[int]) -> WeightedRep | None:
-        if masks in self._set_memo:
-            return self._set_memo[masks]
-        quick = self._witness_handles(masks)
-        if quick is not None:
-            self._set_memo[masks] = quick
-            return quick
-        rep = self._lp(masks)
-        self._set_memo[masks] = rep
-        return rep
+        if masks not in self._set_memo:
+            self._set_memo[masks] = self._witness_handles(masks) or self._lp(masks)
+        return self._set_memo[masks]
 
     def pair_compatible(self, a: int, b: int) -> bool:
         """True iff one part can handle both coalitions together."""
@@ -228,17 +224,8 @@ class PartOracle:
         return rep is not None
 
 
-def incompatibility_graph(
-    g: SimpleGame, oracle: PartOracle | None = None
-) -> tuple[list[int], list[int]]:
-    """Vertices (maximal losing masks, canonical order) and adjacency
-    bitsets; an edge joins coalitions no single part can lose together."""
-    oracle = oracle or PartOracle(g, "lose")
-    verts = maximal_losing_masks(g) if oracle.mode == "lose" else list(g.minwin_masks)
-    return verts, _graph_on(verts, oracle)
-
-
 def _graph_on(verts: list[int], oracle: PartOracle) -> list[int]:
+    """Adjacency bitsets; an edge joins coalitions no single part can handle together."""
     adj = [0] * len(verts)
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
@@ -305,6 +292,11 @@ def _max_clique(adj: list[int]) -> list[int]:
     return sorted(best)
 
 
+def _clique(adj: list[int], clique_exact: int) -> list[int]:
+    """Maximum clique up to ``clique_exact`` vertices, greedy (still nonempty) beyond."""
+    return _max_clique(adj) if len(adj) <= clique_exact else _greedy_clique(adj)
+
+
 def _is_bipartite(adj: list[int]) -> bool:
     nv = len(adj)
     color = [-1] * nv
@@ -332,13 +324,11 @@ def kurz_napel_lower(
     The clique is exact up to ``clique_exact`` vertices and greedy beyond,
     which still yields a valid lower bound (then possibly not maximum).
     """
-    verts, adj = incompatibility_graph(g)
+    verts = maximal_losing_masks(g)
     if not verts:
         return 1, ()
-    clique = _max_clique(adj) if len(verts) <= clique_exact else _greedy_clique(adj)
-    if not clique:
-        clique = [0]
-    return max(1, len(clique)), tuple(Coalition(verts[v], g.n) for v in clique)
+    clique = _clique(_graph_on(verts, PartOracle(g, "lose")), clique_exact)
+    return len(clique), tuple(Coalition(verts[v], g.n) for v in clique)
 
 
 def _greedy_cover(
@@ -439,12 +429,10 @@ def _cover_report(
     oracle = PartOracle(g, mode)
     notes: list[str] = []
     adj = _graph_on(verts, oracle)
-    if len(verts) <= budget.clique_exact:
-        clique = _max_clique(adj) or [0]
-    else:
-        clique = _greedy_clique(adj) or [0]
+    clique = _clique(adj, budget.clique_exact)
+    if len(verts) > budget.clique_exact:
         notes.append("clique bound is greedy (vertex count above exact budget)")
-    lower = max(1, len(clique))
+    lower = len(clique)
     if lower == 2 and not _is_bipartite(adj):
         lower = 3
         notes.append("odd cycle in incompatibility graph raises lower bound to 3")
@@ -472,14 +460,9 @@ def _cover_report(
             notes.append(str(exc))
     witness = IntersectionRep(g.n, tuple(rep for _, rep in blocks))
     if g.n <= MAX_TABLE_PLAYERS:
-        if mode == "lose" and intersect_games(witness.parts, g.n) != g:
-            raise AssertionError("cover witness failed verification")
-        if mode == "win":
-            union_table = 0
-            for part in witness.parts:
-                union_table |= threshold_table(part.weights, part.quota, g.n)
-            if union_table != g.table:
-                raise AssertionError("union cover witness failed verification")
+        tables = (threshold_table(p.weights, p.quota, g.n) for p in witness.parts)
+        if reduce(operator.and_ if mode == "lose" else operator.or_, tables) != g.table:
+            raise AssertionError(f"{mode} cover witness failed verification")
     witness_lower = tuple(Coalition(verts[v], g.n) for v in clique)
     return DimensionReport(
         g.n, len(verts), lower, upper, exact, witness_lower, witness, tuple(notes)

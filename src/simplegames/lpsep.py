@@ -31,6 +31,7 @@ from .core import (
     Coalition,
     InvalidGameError,
     SimpleGame,
+    TableSizeError,
     antichain_reduce,
     maximal_losing_masks,
     _bits,
@@ -330,7 +331,10 @@ def weighted_game(rep: WeightedRep, n: int | None = None) -> SimpleGame:
 
 
 def threshold_table(weights: Sequence[Fraction], quota: Fraction, n: int) -> int:
-    """Truth-table int for ``w(X) >= quota`` via exact integer subset sums."""
+    """Truth-table int for ``w(X) >= quota`` via exact integer subset sums
+    (table-gated before any of the 2^n sums is formed)."""
+    if n > MAX_TABLE_PLAYERS:
+        raise TableSizeError(f"truth table gated at n <= {MAX_TABLE_PLAYERS} players")
     denom = math.lcm(Fraction(quota).denominator, *(Fraction(w).denominator for w in weights))
     w_int = [int(Fraction(w) * denom) for w in weights]
     q_int = int(Fraction(quota) * denom)

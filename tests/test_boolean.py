@@ -174,6 +174,11 @@ class TestTextSyntax:
             with pytest.raises(FormulaSyntaxError):
                 parse_formula(bad)
 
+    def test_zero_denominator_is_a_syntax_error(self):
+        for bad in ("WG(1/0; 1)", "WG(1; 1,2/0)"):
+            with pytest.raises(FormulaSyntaxError, match="zero denominator"):
+                parse_formula(bad)
+
 
 def test_boolean_size_never_exceeds_intersection_size(h_disj_25):
     # an intersection representation is itself an AND formula of the same size

@@ -55,6 +55,12 @@ class TestGameFile:
             load_game("sg 1\nn 3\nw 9\n")
         with pytest.raises(GameFileError):
             load_game("")
+        with pytest.raises(GameFileError, match="line 2: unknown hierarchy kind"):
+            load_game("sg 1\nhier xor n=2,5 k=2,5\n")
+        with pytest.raises(GameFileError, match="line 2: expected 'hier"):
+            load_game("sg 1\nhier disj n=2,5\n")
+        with pytest.raises(GameFileError, match="line 3: unexpected end of formula"):
+            load_game("sg 1\n\nformula\n")
 
 
 class TestAnalyzeCommand:
@@ -176,6 +182,13 @@ def test_formula_source(capsys):
     assert main(["analyze", "--formula", "WG(3; 1,1,1,1,1)"]) == EXIT_OK
     assert "weighted: yes" in capsys.readouterr().out
     assert main(["analyze", "--formula", "WG(3; "]) == EXIT_USAGE
+    assert main(["analyze", "--formula", "WG(1/0; 1)"]) == EXIT_USAGE
+
+
+def test_formula_above_table_gate_exits_usage(capsys):
+    weights = ",".join(["1"] * 21)
+    assert main(["analyze", "--formula", f"WG(1; {weights})"]) == EXIT_USAGE
+    assert "gated" in capsys.readouterr().err
 
 
 def test_bad_file_exits_usage(tmp_path, capsys):
@@ -183,3 +196,11 @@ def test_bad_file_exits_usage(tmp_path, capsys):
     path.write_text("not a game\n")
     assert main(["analyze", "--game", str(path)]) == EXIT_USAGE
     assert main(["analyze", "--game", str(tmp_path / "missing.game")]) == EXIT_USAGE
+
+
+def test_unreadable_game_file_exits_usage(tmp_path, capsys):
+    binary = tmp_path / "binary.game"
+    binary.write_bytes(b"sg 1\nn 2\nw \xff\xfe\n")
+    assert main(["analyze", "--game", str(tmp_path)]) == EXIT_USAGE
+    assert main(["analyze", "--game", str(binary)]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("cannot read game file") == 2

@@ -103,6 +103,29 @@ class TestKurzNapelLower:
         assert kurz_napel_lower(g) == (1, ())
 
 
+class TestGreedyClique:
+    """Above ``clique_exact`` vertices the clique bound is greedy."""
+
+    @pytest.fixture(scope="class")
+    def fam32(self):
+        game, _ = losing_witness_family(3, 2)
+        return game, exact_dimension(game, Budget(max_lmax=65)).exact
+
+    def test_greedy_witness_is_pairwise_incompatible(self, fam32):
+        game, exact = fam32
+        lower, witness = kurz_napel_lower(game, clique_exact=0)
+        assert 1 <= lower == len(witness) <= exact
+        oracle = PartOracle(game, "lose")
+        for a, b in combinations(witness, 2):
+            assert not oracle.pair_compatible(a.mask, b.mask)
+
+    def test_exact_dimension_with_greedy_clique(self, fam32):
+        game, exact = fam32
+        report = exact_dimension(game, Budget(max_lmax=65, clique_exact=1))
+        assert report.exact == exact == 3
+        assert "clique bound is greedy (vertex count above exact budget)" in report.notes
+
+
 class TestExactDimension:
     def test_weighted_game_dimension_one(self, majority5, un_council):
         assert exact_dimension(majority5).exact == 1

@@ -21,7 +21,7 @@ from simplegames import (
     verify_representation,
     weighted_game,
 )
-from simplegames.core import maximal_losing, maximal_losing_masks
+from simplegames.core import TableSizeError, maximal_losing, maximal_losing_masks
 from simplegames.lpsep import separable_masks, threshold_table
 
 
@@ -231,6 +231,10 @@ class TestThresholdGames:
             for x in range(1 << n):
                 want = sum(w for i, w in enumerate(weights) if x >> i & 1) >= quota
                 assert bool(t >> x & 1) == want
+
+    def test_table_gate_raises_before_the_subset_sums(self):
+        with pytest.raises(TableSizeError):
+            threshold_table((1,) * 21, 1, 21)
 
 
 def test_rep_validation_rules():
