@@ -94,16 +94,20 @@ class LinearSystem:
         """Exact check of a per-original-row certificate of infeasibility."""
         if len(u_orig) != len(self.rows):
             return False
-        combo = [Fraction(0)] * self.num_vars
-        rhs = Fraction(0)
+        # u scaled by its common denominator: integer rows stay in integers
+        den = _math.lcm(*(u.denominator for u in u_orig))
+        combo = [0] * self.num_vars
+        rhs = 0
         for (a, sense, b), u in zip(self.rows, u_orig):
             if sense != EQ and u < 0:
                 return False  # only equality rows take a signed multiplier
+            if not u:
+                continue
+            k = u.numerator * (den // u.denominator)
             if sense == GEQ:
-                u = -u  # orient the row as <=, like LEQ and EQ rows
-            for j, c in enumerate(a):
-                combo[j] += u * c
-            rhs += u * b
+                k = -k  # orient the row as <=, like LEQ and EQ rows
+            combo = [s + k * c for s, c in zip(combo, a)]
+            rhs += k * b
         # sum u_r (a_r x - b_r) over oriented rows is <= 0 for feasible x;
         # certificate forces it > 0
         return all(c >= 0 for c in combo) and rhs < 0

@@ -21,6 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
@@ -130,12 +131,12 @@ class ClassPartition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
+    @cached_property
+    def _class_masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << p for p in cls) for cls in self.classes)
+
     def model_of_mask(self, mask: int) -> Model:
-        counts = [0] * len(self.classes)
-        for i in range(self.n):
-            if mask >> i & 1:
-                counts[self.class_of[i]] += 1
-        return tuple(counts)
+        return tuple((mask & cm).bit_count() for cm in self._class_masks)
 
     def model_of(self, x: Coalition) -> Model:
         return self.model_of_mask(x.mask)

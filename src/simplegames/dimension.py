@@ -145,6 +145,15 @@ class PartOracle:
     (pairs only), previously found witnesses, and finally the exact
     separation LP of ``lpsep``, whose game side is built once, here.  Every
     feasible verdict stores its witness.
+
+    Stored witnesses are indexed per coalition: each queried coalition keeps
+    an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
+    win it in ``win`` mode), filled with one integer weight sum per witness
+    when the coalition is first queried and extended whenever an LP stores a
+    new witness.  A set is handled by the witnesses in the AND of its
+    members' bitsets; the lowest set bit is the first witness stored that
+    handles it.  Class-count profiles for the orbit cache are read off the
+    class masks once per coalition and memoised.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
@@ -158,8 +167,10 @@ class PartOracle:
         self._set_memo: dict[frozenset[int], WeightedRep | None] = {}
         self._pair_orbit: dict[tuple, bool] | None = None
         self._partition = None
+        self._models: dict[int, tuple[int, ...]] = {}
         # stored witnesses with their (integer) weights and quota
         self._witnesses: list[tuple[WeightedRep, list[int], int]] = []
+        self._handled_by: dict[int, int] = {}
         self.lp_calls = 0
         if g.n <= _ORBIT_MEMO_MAX_N and desirability.is_complete(g):
             self._partition = desirability.equivalence_classes(g)
@@ -167,20 +178,39 @@ class PartOracle:
 
     # -- helpers -------------------------------------------------------------
 
+    def _model(self, mask: int) -> tuple[int, ...]:
+        model = self._models.get(mask)
+        if model is None:
+            model = self._models[mask] = self._partition.model_of_mask(mask)
+        return model
+
     def _orbit_key(self, a: int, b: int):
-        part = self._partition
-        ma, mb = part.model_of_mask(a), part.model_of_mask(b)
-        mi = part.model_of_mask(a & b)
+        ma, mb, mi = self._model(a), self._model(b), self._model(a & b)
         if (mb, ma) < (ma, mb):
             ma, mb = mb, ma
         return (ma, mb, mi)
 
+    def _handles(self, weights: list[int], quota: int, mask: int) -> bool:
+        return (sum(weights[i] for i in _bits(mask)) < quota) == (self.mode == "lose")
+
+    def _handled(self, mask: int) -> int:
+        """Bitset of the stored witnesses that handle ``mask``."""
+        handled = self._handled_by.get(mask)
+        if handled is None:
+            handled = self._handled_by[mask] = sum(
+                1 << k for k, (_, weights, quota) in enumerate(self._witnesses)
+                if self._handles(weights, quota, mask)
+            )
+        return handled
+
     def _witness_handles(self, masks) -> WeightedRep | None:
-        lose = self.mode == "lose"
-        for rep, weights, quota in self._witnesses:
-            if all((sum(weights[i] for i in _bits(m)) < quota) == lose for m in masks):
-                return rep
-        return None
+        """First stored witness handling every coalition of ``masks``."""
+        common = (1 << len(self._witnesses)) - 1
+        for m in masks:
+            if not common:
+                return None
+            common &= self._handled(m)
+        return self._witnesses[(common & -common).bit_length() - 1][0] if common else None
 
     def _lp(self, masks: frozenset[int]) -> WeightedRep | None:
         self.lp_calls += 1
@@ -189,7 +219,12 @@ class PartOracle:
         if not res.feasible:
             return None
         rep = _canonical_rep(res.x[: self.n], res.x[self.n])
-        self._witnesses.append((rep, [int(w) for w in rep.weights], int(rep.quota)))
+        weights, quota = [int(w) for w in rep.weights], int(rep.quota)
+        bit = 1 << len(self._witnesses)
+        self._witnesses.append((rep, weights, quota))
+        for m, handled in self._handled_by.items():
+            if self._handles(weights, quota, m):
+                self._handled_by[m] = handled | bit
         return rep
 
     # -- queries -------------------------------------------------------------

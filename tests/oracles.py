@@ -372,6 +372,19 @@ def random_game_masks(rng, n: int, max_gen: int = 6) -> list[int]:
     return [rng.randrange(1, 1 << n) for _ in range(count)]
 
 
+def random_two_weighted_table(rng, n: int, wmax: int) -> int:
+    """Truth table of the union or the intersection of two random weighted
+    games with integer weights in ``0..wmax``."""
+    tables = []
+    for _ in range(2):
+        w = [rng.randint(0, wmax) for _ in range(n)]
+        q = rng.randint(1, max(1, sum(w) - 1))
+        tables.append(sum(
+            1 << x for x in range(1 << n) if sum(w[i] for i in range(n) if x >> i & 1) >= q
+        ))
+    return tables[0] | tables[1] if rng.random() < 0.5 else tables[0] & tables[1]
+
+
 # -- hierarchical spec utilities --------------------------------------------------
 
 

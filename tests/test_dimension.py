@@ -28,7 +28,7 @@ from simplegames import (
     weighted_game,
 )
 from simplegames.certificates import _swap_split
-from simplegames.core import maximal_losing_masks
+from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.dimension import PartOracle
 from simplegames.lpsep import separable_masks, threshold_table
 
@@ -289,3 +289,57 @@ def test_separation_routes_agree_on_random_games():
                 if _swap_split(g, a, b, mode == "lose") is not None:
                     assert not oracle.pair_compatible(a, b)
                     assert lp_only.separable_set(frozenset((a, b))) is None
+
+
+
+def _cache_test_games(rng):
+    """Random games on 6-7 players: complete ones (conjunctive hierarchies,
+    unions and intersections of two weighted games, which mostly are) and
+    ones generated by random 3-player coalitions (mostly not complete)."""
+    games = []
+    while len(games) < 5:
+        sizes, k = oracles.random_conjunctive_params(rng, max_players=7)
+        if sum(sizes) >= 6:
+            games.append(build(HierarchicalSpec(Kind.CONJUNCTIVE, sizes, k)))
+    for _ in range(4):
+        n = rng.randint(6, 7)
+        games.append(SimpleGame._from_table(n, oracles.random_two_weighted_table(rng, n, 4)))
+    for _ in range(7):
+        n = rng.randint(6, 7)
+        gens = [sum(1 << i for i in rng.sample(range(n), 3)) for _ in range(rng.randint(5, 10))]
+        games.append(make_game_from_masks(n, gens))
+    return games
+
+
+def test_oracle_caches_agree_with_fresh_oracles():
+    """A long-lived oracle answers from its orbit entries and stored witnesses;
+    each verdict must equal that of a fresh oracle, which has neither, and
+    each witness must handle the queried coalitions within the game."""
+    rng = random.Random(70)
+    complete_seen = set()
+    queried = lp_calls = 0
+    for g in _cache_test_games(rng):
+        for mode in ("lose", "win"):
+            shared = PartOracle(g, mode)
+            complete_seen.add(shared._pair_orbit is not None)
+            verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+            fixed = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
+            queries = list(combinations(verts, 2))
+            triples = list(combinations(verts, 3))
+            queries += rng.sample(triples, min(25, len(triples)))
+            rng.shuffle(queries)
+            for q in queries:
+                masks = frozenset(q)
+                if len(q) == 2:
+                    want = PartOracle(g, mode).pair_compatible(*q)
+                    assert shared.pair_compatible(*q) == want, (g, mode, q)
+                rep = shared.separable_set(masks)
+                assert (rep is not None) == (PartOracle(g, mode).separable_set(masks) is not None)
+                if rep is not None:
+                    wins = mode == "win"
+                    assert all(rep.wins_mask(m) == wins for m in masks)
+                    assert all(rep.wins_mask(m) != wins for m in fixed)
+            queried += len(queries)
+            lp_calls += shared.lp_calls
+    assert complete_seen == {True, False}
+    assert lp_calls < queried / 2  # most answers came from the caches
