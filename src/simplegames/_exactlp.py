@@ -12,6 +12,10 @@ Internally every system is normalised to ``A x <= b`` rows (equalities are
 split).  A Farkas certificate is then ``u >= 0`` with ``u^T A >= 0``
 componentwise and ``u^T b < 0``: for any ``x >= 0`` it forces
 ``0 <= (u^T A) x = u^T(Ax) <= u^T b < 0``.
+
+Systems that share their leading rows (one game asked many separation
+questions) share them as a :class:`RowBlock`, normalised once; each solve
+then normalises only the rows after it.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math as _math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul as _mul
 from typing import Callable, Sequence
 
 LEQ, EQ, GEQ = -1, 0, 1
@@ -28,6 +33,31 @@ _FLOAT_TOL = 1e-9
 _DENOM_LADDER = (10**4, 10**8, 10**12)
 
 _IntRow = tuple[list[int], int, int]  # a <= row times its scale, and the scale
+
+
+def _normalise(rows, start: int) -> tuple[list[_IntRow], list[int]]:
+    """``rows`` in <= form as integer rows, with each one's original index
+    (``start`` plus its position)."""
+    out: list[_IntRow] = []
+    origin: list[int] = []
+    for idx, (a, sense, b) in enumerate(rows, start):
+        scale = _math.lcm(b.denominator, *(c.denominator for c in a))
+        ints = [c.numerator * (scale // c.denominator) for c in a]
+        b_int = b.numerator * (scale // b.denominator)
+        if sense in (LEQ, EQ):
+            out.append((ints, b_int, scale))
+            origin.append(idx)
+        if sense in (GEQ, EQ):
+            out.append(([-c for c in ints], -b_int, scale))
+            origin.append(idx)
+    return out, origin
+
+
+def _dense(np, leq: Sequence[_IntRow], width: int):
+    """Float matrix and right-hand side of integer <= rows over ``width`` columns."""
+    a_mat = np.array([[c / scale for c in a] for a, _, scale in leq], dtype=float)
+    b_vec = np.array([b / scale for _, b, scale in leq], dtype=float)
+    return a_mat.reshape(len(leq), width), b_vec
 
 
 @dataclass(frozen=True)
@@ -40,12 +70,36 @@ class LPResult:
     exact_path: bool = True
 
 
+class RowBlock:
+    """Leading rows shared by many systems, normalised to ``<=`` form once.
+
+    The dense float copy of the rows is made on the first float pre-pass
+    that needs it, so callers that stay on the exact path never pay for it.
+    """
+
+    def __init__(self, rows: list[tuple[Sequence[Fraction | int], int, Fraction | int]]):
+        self.rows = rows
+        self.leq, self.origin = _normalise(rows, 0)
+        self._dense = None
+
+    def dense(self, np, width: int):
+        if self._dense is None:
+            self._dense = _dense(np, self.leq, width)
+        return self._dense
+
+
 @dataclass
 class LinearSystem:
-    """Rows ``coeffs . x  (<=, =, >=)  rhs`` over ``x >= 0``, in Fractions or ints."""
+    """Rows ``coeffs . x  (<=, =, >=)  rhs`` over ``x >= 0``, in Fractions or ints.
+
+    ``rows`` holds every row.  When ``block`` is given, ``rows`` starts with
+    ``block.rows`` and only the rows after them are normalised per solve;
+    the exact checks still read every row of ``rows``.
+    """
 
     num_vars: int
     rows: list[tuple[tuple[Fraction, ...], int, Fraction]] = field(default_factory=list)
+    block: RowBlock | None = field(default=None, repr=False, compare=False)
 
     def add(self, coeffs: Sequence[Fraction | int], sense: int, rhs: Fraction | int) -> None:
         if len(coeffs) != self.num_vars:
@@ -59,19 +113,11 @@ class LinearSystem:
     def _leq_rows(self) -> tuple[list[_IntRow], list[int]]:
         """Rows in <= form, each as integers ``(A, b, scale)`` equal to the
         rational row times ``scale``, plus the original row index of each."""
-        out: list[_IntRow] = []
-        origin: list[int] = []
-        for idx, (a, sense, b) in enumerate(self.rows):
-            scale = _math.lcm(b.denominator, *(c.denominator for c in a))
-            ints = [c.numerator * (scale // c.denominator) for c in a]
-            b_int = b.numerator * (scale // b.denominator)
-            if sense in (LEQ, EQ):
-                out.append((ints, b_int, scale))
-                origin.append(idx)
-            if sense in (GEQ, EQ):
-                out.append(([-c for c in ints], -b_int, scale))
-                origin.append(idx)
-        return out, origin
+        if self.block is None:
+            return _normalise(self.rows, 0)
+        start = len(self.block.rows)
+        leq, origin = _normalise(self.rows[start:], start)
+        return self.block.leq + leq, self.block.origin + origin
 
     def check_point(self, x: Sequence[Fraction]) -> bool:
         if len(x) != self.num_vars or any(v < 0 for v in x):
@@ -80,7 +126,7 @@ class LinearSystem:
         den = _math.lcm(*(v.denominator for v in x))
         xs = [v.numerator * (den // v.denominator) for v in x]
         for a, sense, b in self.rows:
-            lhs = sum(c * v for c, v in zip(a, xs))
+            lhs = sum(map(_mul, a, xs))
             rhs = b * den
             if sense == LEQ and lhs > rhs:
                 return False
@@ -159,8 +205,12 @@ class LinearSystem:
             from scipy.optimize import linprog
         except ImportError:  # pragma: no cover
             return None
-        a_mat = np.array([[c / scale for c in a] for a, _, scale in leq])
-        b_vec = np.array([b / scale for _, b, scale in leq])
+        if self.block is None:
+            a_mat, b_vec = _dense(np, leq, self.num_vars)
+        else:
+            a_head, b_head = self.block.dense(np, self.num_vars)
+            a_tail, b_tail = _dense(np, leq[len(self.block.leq):], self.num_vars)
+            a_mat, b_vec = np.vstack((a_head, a_tail)), np.concatenate((b_head, b_tail))
         probe = linprog(
             np.zeros(self.num_vars), A_ub=a_mat, b_ub=b_vec,
             bounds=(0, None), method="highs",

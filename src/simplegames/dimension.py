@@ -30,13 +30,13 @@ on the class-count profiles of the two coalitions and of their intersection.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
 from typing import Literal
 
 from . import desirability
+from ._exactlp import RowBlock
 from .certificates import _swap_split
 from .core import (
     MAX_TABLE_PLAYERS,
@@ -143,8 +143,10 @@ class PartOracle:
     Queries run through (in order): the orbit cache keyed by class-count
     profiles (pairs only), the capped length-2 swap scan of ``certificates``
     (pairs only), previously found witnesses, and finally the exact
-    separation LP of ``lpsep``, whose game side is built once, here.  Every
-    feasible verdict stores its witness.
+    separation LP of ``lpsep``.  The game's side of that LP is built once,
+    here (its integer ``<=`` rows at construction, their float copy on the
+    first float solve), so an LP normalises only the queried coalitions.
+    Every feasible verdict stores its witness.
 
     Stored witnesses are indexed per coalition: each queried coalition keeps
     an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
@@ -152,70 +154,87 @@ class PartOracle:
     when the coalition is first queried and extended whenever an LP stores a
     new witness.  A set is handled by the witnesses in the AND of its
     members' bitsets; the lowest set bit is the first witness stored that
-    handles it.  Class-count profiles for the orbit cache are read off the
-    class masks once per coalition and memoised.
+    handles it.  The cover search keeps that AND per block (``_join``), so
+    trying one more coalition in a block costs one AND.
+
+    In complete games a coalition's class-count profile is one integer
+    (mixed radix over the class sizes), memoised per coalition; a pair's
+    orbit key combines the profiles of both coalitions and of their
+    intersection.  ``_incompatible_rows`` builds the pair graph from these
+    keys and calls ``pair_compatible`` only where the orbit cache misses.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
         self.g = g
         self.n = g.n
         self.mode = mode
-        if mode == "lose":
-            self._fixed_rows = _incidence_rows(g.minwin_masks, g.n, True)
-        else:
-            self._fixed_rows = _incidence_rows(maximal_losing_masks(g), g.n, False)
+        # what every part must handle the other way: win W_min when losing
+        # subsets of L_max, lose L_max when winning subsets of W_min
+        self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
+        self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"))
         self._set_memo: dict[frozenset[int], WeightedRep | None] = {}
-        self._pair_orbit: dict[tuple, bool] | None = None
-        self._partition = None
-        self._models: dict[int, tuple[int, ...]] = {}
+        self._pair_orbit: dict[int, bool] | None = None
+        self._codes: dict[int, int] = {}
         # stored witnesses with their (integer) weights and quota
         self._witnesses: list[tuple[WeightedRep, list[int], int]] = []
         self._handled_by: dict[int, int] = {}
+        self._members: dict[int, list[int]] = {}  # players of each queried coalition
         self.lp_calls = 0
         if g.n <= _ORBIT_MEMO_MAX_N and desirability.is_complete(g):
-            self._partition = desirability.equivalence_classes(g)
+            partition = desirability.equivalence_classes(g)
+            self._radix: list[tuple[int, int]] = []
+            self._span = 1  # number of distinct profiles
+            for cm, size in zip(partition._class_masks, partition.sizes):
+                self._radix.append((cm, self._span))
+                self._span *= size + 1
             self._pair_orbit = {}
 
     # -- helpers -------------------------------------------------------------
 
-    def _model(self, mask: int) -> tuple[int, ...]:
-        model = self._models.get(mask)
-        if model is None:
-            model = self._models[mask] = self._partition.model_of_mask(mask)
-        return model
+    def _code(self, mask: int) -> int:
+        """Class-count profile of ``mask`` as one mixed-radix integer."""
+        code = self._codes.get(mask)
+        if code is None:
+            code = self._codes[mask] = sum((mask & cm).bit_count() * r for cm, r in self._radix)
+        return code
 
-    def _orbit_key(self, a: int, b: int):
-        ma, mb, mi = self._model(a), self._model(b), self._model(a & b)
-        if (mb, ma) < (ma, mb):
-            ma, mb = mb, ma
-        return (ma, mb, mi)
+    def _orbit_key(self, a: int, b: int) -> int:
+        ca, cb = self._code(a), self._code(b)
+        if cb < ca:
+            ca, cb = cb, ca
+        return (ca * self._span + cb) * self._span + self._code(a & b)
 
-    def _handles(self, weights: list[int], quota: int, mask: int) -> bool:
-        return (sum(weights[i] for i in _bits(mask)) < quota) == (self.mode == "lose")
+    def _handles(self, weights: list[int], quota: int, members: list[int]) -> bool:
+        return (sum([weights[i] for i in members]) < quota) == (self.mode == "lose")
 
     def _handled(self, mask: int) -> int:
         """Bitset of the stored witnesses that handle ``mask``."""
         handled = self._handled_by.get(mask)
         if handled is None:
+            members = self._members[mask] = _bits(mask)
             handled = self._handled_by[mask] = sum(
                 1 << k for k, (_, weights, quota) in enumerate(self._witnesses)
-                if self._handles(weights, quota, mask)
+                if self._handles(weights, quota, members)
             )
         return handled
 
-    def _witness_handles(self, masks) -> WeightedRep | None:
-        """First stored witness handling every coalition of ``masks``."""
+    def _common(self, masks) -> int:
+        """Bitset of the stored witnesses handling every coalition of ``masks``."""
         common = (1 << len(self._witnesses)) - 1
         for m in masks:
             if not common:
-                return None
+                break
             common &= self._handled(m)
+        return common
+
+    def _first(self, common: int) -> WeightedRep | None:
+        """The first stored witness in the bitset ``common``."""
         return self._witnesses[(common & -common).bit_length() - 1][0] if common else None
 
     def _lp(self, masks: frozenset[int]) -> WeightedRep | None:
         self.lp_calls += 1
         variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
-        res = _separate(self.n, self._fixed_rows, variable)
+        res = _separate(self.n, self._fixed, variable)
         if not res.feasible:
             return None
         rep = _canonical_rep(res.x[: self.n], res.x[self.n])
@@ -223,7 +242,7 @@ class PartOracle:
         bit = 1 << len(self._witnesses)
         self._witnesses.append((rep, weights, quota))
         for m, handled in self._handled_by.items():
-            if self._handles(weights, quota, m):
+            if self._handles(weights, quota, self._members[m]):
                 self._handled_by[m] = handled | bit
         return rep
 
@@ -231,7 +250,7 @@ class PartOracle:
 
     def separable_set(self, masks: frozenset[int]) -> WeightedRep | None:
         if masks not in self._set_memo:
-            self._set_memo[masks] = self._witness_handles(masks) or self._lp(masks)
+            self._set_memo[masks] = self._first(self._common(masks)) or self._lp(masks)
         return self._set_memo[masks]
 
     def pair_compatible(self, a: int, b: int) -> bool:
@@ -254,19 +273,65 @@ class PartOracle:
         if _swap_split(self.g, a, b, self.mode == "lose") is not None:
             self._set_memo[pair] = None
             return False
-        rep = self._witness_handles((a, b)) or self._lp(pair)
+        rep = self._first(self._common((a, b))) or self._lp(pair)
         self._set_memo[pair] = rep
         return rep is not None
+
+    def _join(self, masks: list[int], common: int, mask: int) -> tuple[WeightedRep | None, int]:
+        """Witness for ``masks`` plus ``mask`` (None if inseparable), and the
+        bitset to keep for the joined set.
+
+        ``common`` is the bitset of ``masks`` (``-1`` when empty).  It may
+        miss witnesses stored since it was taken; those sit above all of its
+        bits, so a nonzero AND with ``mask``'s bitset still starts at the
+        first stored witness handling the whole set.  Only when that AND is
+        0 does the full ``separable_set`` (memo, stored witnesses, LP) run.
+        """
+        common &= self._handled(mask)
+        if common:
+            return self._first(common), common
+        rep = self.separable_set(frozenset(masks).union((mask,)))
+        return rep, (self._common(masks) & self._handled(mask) if rep is not None else 0)
+
+    def _incompatible_rows(self, verts: list[int]):
+        """For each vertex index i, the bitset of indices j > i whose pair
+        with it no single part can handle."""
+        nv = len(verts)
+        if self._pair_orbit is None:
+            for i, a in enumerate(verts):
+                row = 0
+                for j in range(i + 1, nv):
+                    if not self.pair_compatible(a, verts[j]):
+                        row |= 1 << j
+                yield row
+            return
+        orbit, memo, code, span = self._pair_orbit, self._codes, self._code, self._span
+        codes = [code(v) for v in verts]
+        for i, a in enumerate(verts):
+            ca = codes[i]
+            row = 0
+            for j in range(i + 1, nv):
+                b, cb = verts[j], codes[j]
+                ci = memo.get(a & b)
+                if ci is None:
+                    ci = code(a & b)
+                # _orbit_key(a, b), inlined
+                key = (ca * span + cb if ca <= cb else cb * span + ca) * span + ci
+                verdict = orbit.get(key)
+                if verdict is None:
+                    verdict = self.pair_compatible(a, b)
+                if not verdict:
+                    row |= 1 << j
+            yield row
 
 
 def _graph_on(verts: list[int], oracle: PartOracle) -> list[int]:
     """Adjacency bitsets; an edge joins coalitions no single part can handle together."""
     adj = [0] * len(verts)
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if not oracle.pair_compatible(verts[i], verts[j]):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    for i, row in enumerate(oracle._incompatible_rows(verts)):
+        adj[i] |= row
+        for j in _bits(row):
+            adj[j] |= 1 << i
     return adj
 
 
@@ -375,19 +440,19 @@ def _greedy_cover(
     blocks: list[tuple[list[int], WeightedRep]] = []
     while uncovered:
         seed = uncovered[0]
-        block = [seed]
-        block_adj = adj[seed]
-        rep = oracle.separable_set(frozenset((verts[seed],)))
+        block, masks, block_adj = [seed], [verts[seed]], adj[seed]
+        rep, common = oracle._join([], -1, verts[seed])
         if rep is None:
             raise AssertionError("singleton blocks are always feasible")
         for e in uncovered[1:]:
             if block_adj >> e & 1:
                 continue
-            cand = oracle.separable_set(frozenset(verts[v] for v in block + [e]))
+            cand, joined = oracle._join(masks, common, verts[e])
             if cand is not None:
                 block.append(e)
+                masks.append(verts[e])
                 block_adj |= adj[e]
-                rep = cand
+                rep, common = cand, joined
         covered = set(block)
         uncovered = [e for e in uncovered if e not in covered]
         blocks.append((block, rep))
@@ -403,15 +468,17 @@ def _exists_cover(
     max_nodes: int,
 ) -> list[list[int]] | None:
     """Branch and bound: partition all vertices into at most d feasible
-    blocks, or prove impossibility.  Raises BudgetExceeded past max_nodes."""
+    blocks (returned as lists of coalition masks), or prove impossibility.
+    Raises BudgetExceeded past max_nodes."""
     nv = len(verts)
     pre = seed_clique[:d]
     order = pre + sorted(
         (v for v in range(nv) if v not in pre),
         key=lambda v: (-_popcount(adj[v]), v),
     )
-    blocks: list[list[int]] = [[v] for v in pre]
+    blocks: list[list[int]] = [[verts[v]] for v in pre]
     block_adj: list[int] = [adj[v] for v in pre]
+    common: list[int] = [oracle._common(b) for b in blocks]
     nodes = 0
 
     def assign(idx: int) -> bool:
@@ -425,27 +492,61 @@ def _exists_cover(
         for b in range(len(blocks)):
             if block_adj[b] >> v & 1:
                 continue
-            if oracle.separable_set(frozenset(verts[u] for u in blocks[b] + [v])) is None:
+            rep, joined = oracle._join(blocks[b], common[b], verts[v])
+            if rep is None:
                 continue
-            blocks[b].append(v)
-            saved = block_adj[b]
+            blocks[b].append(verts[v])
+            saved = block_adj[b], common[b]
             block_adj[b] |= adj[v]
+            common[b] = joined
             if assign(idx + 1):
                 return True
             blocks[b].pop()
-            block_adj[b] = saved
+            block_adj[b], common[b] = saved
         if len(blocks) < d:
-            blocks.append([v])
+            blocks.append([verts[v]])
             block_adj.append(adj[v])
+            common.append(oracle._common(blocks[-1]))
             if assign(idx + 1):
                 return True
             blocks.pop()
             block_adj.pop()
+            common.pop()
         return False
 
     if assign(len(pre)):
         return [b[:] for b in blocks]
     return None
+
+
+def _check_cover(
+    parts: tuple[WeightedRep, ...], verts: list[int], fixed: list[int], mode: Literal["lose", "win"]
+) -> None:
+    """Exact check that the parts combine to the game, at any player count.
+
+    Mode ``lose`` (intersection): every part wins every minimal winning
+    coalition (``fixed``) and every maximal losing coalition (``verts``)
+    loses in some part.  Mode ``win`` (union) is the dual: every part loses
+    every maximal losing coalition and every minimal winning coalition wins
+    in some part.  With nonnegative weights these antichain conditions
+    decide every coalition, so the check equals comparing truth tables.
+    """
+    lose = mode == "lose"
+    ints = []
+    for p in parts:
+        denom = math.lcm(p.quota.denominator, *(w.denominator for w in p.weights))
+        ints.append((
+            [w.numerator * (denom // w.denominator) for w in p.weights],
+            p.quota.numerator * (denom // p.quota.denominator),
+        ))
+
+    def all_parts_handle(mask: int) -> bool:
+        # every part wins ``mask`` in lose mode, loses it in win mode
+        members = _bits(mask)
+        return all((sum([w[i] for i in members]) >= q) == lose for w, q in ints)
+
+    if not all(map(all_parts_handle, fixed)) or any(map(all_parts_handle, verts)):
+        raise AssertionError(f"{mode} cover witness failed verification")
 
 
 def _cover_report(
@@ -455,7 +556,7 @@ def _cover_report(
 
     Mode ``lose`` covers L_max and its parts must intersect to the game;
     mode ``win`` covers W_min and its parts must unite to it.  The witness
-    is checked against the game's table whenever there is one.
+    is checked exactly against both antichains of the game.
     """
     if len(verts) > budget.max_lmax:
         name = "L_max" if mode == "lose" else "W_min"
@@ -484,20 +585,14 @@ def _cover_report(
                 found = _exists_cover(oracle, verts, adj, d, clique, budget.max_nodes)
                 if found is not None:
                     exact = upper = d
-                    blocks = [
-                        (blk, oracle.separable_set(frozenset(verts[v] for v in blk)))
-                        for blk in found
-                    ]
+                    blocks = [(blk, oracle.separable_set(frozenset(blk))) for blk in found]
                     break
             else:
                 exact = upper
         except BudgetExceeded as exc:
             notes.append(str(exc))
     witness = IntersectionRep(g.n, tuple(rep for _, rep in blocks))
-    if g.n <= MAX_TABLE_PLAYERS:
-        tables = (threshold_table(p.weights, p.quota, g.n) for p in witness.parts)
-        if reduce(operator.and_ if mode == "lose" else operator.or_, tables) != g.table:
-            raise AssertionError(f"{mode} cover witness failed verification")
+    _check_cover(witness.parts, verts, oracle._fixed_masks, mode)
     witness_lower = tuple(Coalition(verts[v], g.n) for v in clique)
     return DimensionReport(
         g.n, len(verts), lower, upper, exact, witness_lower, witness, tuple(notes)

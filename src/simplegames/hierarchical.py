@@ -66,16 +66,16 @@ class HierarchicalSpec:
 
     @property
     def class_ranges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        start = 0
-        for s in self.n_vec:
-            out.append((start, start + s))
-            start += s
-        return tuple(out)
+        return _class_ranges(self.n_vec)
 
     def class_players(self, c: int) -> tuple[int, ...]:
         lo, hi = self.class_ranges[c]
         return tuple(range(lo, hi))
+
+
+def _class_ranges(n_vec: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Contiguous ``[lo, hi)`` player ranges of classes of the given sizes."""
+    return tuple((end - s, end) for s, end in zip(n_vec, itertools.accumulate(n_vec)))
 
 
 def model_winning(spec: HierarchicalSpec, model: Model) -> bool:
@@ -93,7 +93,7 @@ def _game_of_models(n_vec: tuple[int, ...], wins: Callable[[Model], bool]) -> Si
     coalitions are those with a winning model under the monotone ``wins``."""
     if math.prod(s + 1 for s in n_vec) > _MODEL_SPACE_LIMIT:
         raise InvalidGameError("model space too large to enumerate")
-    classes = [range(end - s, end) for s, end in zip(n_vec, itertools.accumulate(n_vec))]
+    classes = [range(lo, hi) for lo, hi in _class_ranges(n_vec)]
     minimal, _ = _model_antichains(n_vec, wins)
     masks = []
     for model in minimal:

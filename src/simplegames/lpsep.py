@@ -11,7 +11,7 @@ This module holds the package's one builder for that system
 (``_separate``).  It serves ``separable``, the Farkas route of certificate
 search, the class-weight route of ``is_weighted`` (coefficients are member
 counts per desirability class instead of 0/1 incidences) and the dimension
-oracle, which keeps the game's own side of the system as prebuilt rows.
+oracle, which normalises the game's own side of the system once.
 
 All verdicts are exact: the LP layer only accepts float results whose
 witnesses survive exact rational verification (see ``_exactlp``).
@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import desirability
-from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult
+from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult, RowBlock
 from .core import (
     MAX_TABLE_PLAYERS,
     Coalition,
@@ -144,7 +145,7 @@ def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int])
     for y in lose:
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
-    res = _separate(n, _incidence_rows(win, n, True), _incidence_rows(lose, n, False))
+    res = _separate(n, RowBlock(_incidence_rows(win, n, True)), _incidence_rows(lose, n, False))
     return _canonical_rep(res.x[:n], res.x[n]) if res.feasible else None
 
 
@@ -160,7 +161,7 @@ def separable_result(
     """
     win = antichain_reduce(win_masks)
     lose = _inclusion_maximal(lose_masks, n)
-    fixed = _incidence_rows(win, n, True)
+    fixed = RowBlock(_incidence_rows(win, n, True))
     return _separate(n, fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
 
 
@@ -178,38 +179,37 @@ def _incidence_rows(masks: Iterable[int], n: int, win: bool) -> list[_Row]:
 
 
 def _separate(
-    width: int, fixed: list[_Row], variable: list[_Row], force_exact: bool = False
+    width: int, fixed: RowBlock, variable: list[_Row], force_exact: bool = False
 ) -> LPResult:
-    """Solve the rows ``fixed``, then ``variable``, then ``q >= 1``.
+    """Solve the rows of ``fixed``, then ``variable``, then ``q >= 1``.
 
     A row is ``w.v - q >= 0`` (win side) or ``w.v - q <= -1`` (lose side)
     for an integer vector v: 0/1 player incidences or member counts per
-    class.  Callers asking many questions of one game build the game's side
-    once and pass it as ``fixed``.  A float answer is first repaired by
-    rounding the weights and setting the quota one above the heaviest lose
-    row.
+    class.  ``fixed`` is the game's side, normalised once as a
+    :class:`RowBlock`; callers asking many questions of one game build it
+    once and pass only the queried rows as ``variable``.  A float answer is
+    first repaired by rounding the weights and setting the quota one above
+    the heaviest lose row.
     """
-    rows = fixed + variable
     q_row = ((0,) * width + (1,), GEQ, 1)
 
     def repair(xf: list[float]) -> tuple[Fraction, ...] | None:
-        # row sums are taken in integers over the weights' common denominator
-        support = [
-            ([(i, int(c)) for i, c in enumerate(a[:width]) if c], sense) for a, sense, _ in rows
-        ]
+        # row sums are taken in integers over the weights' common denominator;
+        # map stops at the weights, before each row's quota coefficient
+        rows = fixed.rows + variable
         for denom in (1, 16, 10**4, 10**8):
             w = [Fraction(v).limit_denominator(denom) for v in xf[:width]]
             scale = math.lcm(*(wi.denominator for wi in w))
             w_int = [wi.numerator * (scale // wi.denominator) for wi in w]
-            sums = [(sum(c * w_int[i] for i, c in sup), sense) for sup, sense in support]
-            lo = Fraction(max((s for s, sense in sums if sense == LEQ), default=0), scale) + 1
-            hi = min((s for s, sense in sums if sense == GEQ), default=None)
-            q = max(lo, Fraction(1))
+            lo = max((sum(map(mul, a, w_int)) for a, sense, _ in rows if sense == LEQ), default=0)
+            hi = min((sum(map(mul, a, w_int)) for a, sense, _ in rows if sense == GEQ), default=None)
+            q = max(Fraction(lo, scale) + 1, Fraction(1))
             if hi is None or q <= Fraction(hi, scale):
                 return tuple(w) + (q,)
         return None
 
-    return LinearSystem(width + 1, rows + [q_row]).solve(repair=repair, force_exact=force_exact)
+    system = LinearSystem(width + 1, fixed.rows + variable + [q_row], fixed)
+    return system.solve(repair=repair, force_exact=force_exact)
 
 
 def _incidence(mask: int, n: int) -> list[int]:
@@ -262,7 +262,8 @@ def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
     """
     win, lose = desirability._class_antichains(g)
     m = len(part.sizes)
-    res = _separate(m, _separation_rows(win, True), _separation_rows(lose, False), force_exact=True)
+    fixed = RowBlock(_separation_rows(win, True))
+    res = _separate(m, fixed, _separation_rows(lose, False), force_exact=True)
     if not res.feasible:
         return None
     return _canonical_rep(tuple(res.x[part.class_of[p]] for p in range(g.n)), res.x[m])

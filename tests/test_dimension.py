@@ -27,9 +27,10 @@ from simplegames import (
     upper_bound_lmax,
     weighted_game,
 )
+from simplegames import dimension
 from simplegames.certificates import _swap_split
 from simplegames.core import SimpleGame, maximal_losing_masks
-from simplegames.dimension import PartOracle
+from simplegames.dimension import PartOracle, _check_cover, _graph_on
 from simplegames.lpsep import separable_masks, threshold_table
 
 WIDE = Budget(max_lmax=200, clique_exact=250)
@@ -343,3 +344,86 @@ def test_oracle_caches_agree_with_fresh_oracles():
             lp_calls += shared.lp_calls
     assert complete_seen == {True, False}
     assert lp_calls < queried / 2  # most answers came from the caches
+
+
+def test_orbit_built_graph_matches_fresh_oracles():
+    """The pair graph, built from orbit keys with ``pair_compatible`` only on
+    orbit misses, equals the graph of one fresh oracle per pair, in both
+    modes, on complete and non-complete games."""
+    complete_seen = set()
+    for g in _cache_test_games(random.Random(74)):
+        for mode in ("lose", "win"):
+            verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+            oracle = PartOracle(g, mode)
+            complete_seen.add(oracle._pair_orbit is not None)
+            want = [0] * len(verts)
+            for i, j in combinations(range(len(verts)), 2):
+                if not PartOracle(g, mode).pair_compatible(verts[i], verts[j]):
+                    want[i] |= 1 << j
+                    want[j] |= 1 << i
+            assert _graph_on(verts, oracle) == want, (g, mode)
+    assert complete_seen == {True, False}
+
+
+class TestCoverWitnessCheck:
+    """Cover witnesses are checked on the antichains, at every player count."""
+
+    # three disjoint winning pairs; the 22-player game has no truth table
+    GAMES = {22: [0b11, 0b1100, 0b11 << 20], 6: [0b11, 0b1100, 0b11 << 4]}
+
+    @pytest.mark.parametrize("n", sorted(GAMES))
+    def test_large_and_small_games_are_checked(self, n, monkeypatch):
+        checked = []
+
+        def recording(parts, verts, fixed, mode):
+            checked.append(mode)
+            return _check_cover(parts, verts, fixed, mode)
+
+        monkeypatch.setattr(dimension, "_check_cover", recording)
+        g = make_game_from_masks(n, self.GAMES[n])
+        report = exact_dimension(g)
+        assert report.lower == report.upper == report.exact == 4
+        assert codimension_direct(g).exact == 3
+        assert checked == ["lose", "win"]
+
+    @pytest.mark.parametrize("n", sorted(GAMES))
+    @pytest.mark.parametrize("mode", ["lose", "win"])
+    def test_corrupted_part_raises(self, n, mode):
+        g = make_game_from_masks(n, self.GAMES[n])
+        if mode == "lose":
+            report, verts, fixed = exact_dimension(g), maximal_losing_masks(g), list(g.minwin_masks)
+        else:
+            report, verts, fixed = codimension_direct(g), list(g.minwin_masks), maximal_losing_masks(g)
+        parts = report.witness_upper.parts
+        _check_cover(parts, verts, fixed, mode)
+        wins_all = WeightedRep((1,) * n, 1)  # handles no maximal losing coalition
+        loses_all = WeightedRep((1,) * n, n + 1)  # handles no minimal winning one
+        # a part that breaks the fixed side, then one that leaves a vertex unhandled
+        spoilers = (loses_all, wins_all) if mode == "lose" else (wins_all, loses_all)
+        with pytest.raises(AssertionError):
+            _check_cover((spoilers[0],) + parts[1:], verts, fixed, mode)
+        with pytest.raises(AssertionError):
+            _check_cover((spoilers[1],) + parts[1:], verts, fixed, mode)
+
+
+def test_lp_counts_stay_bounded(monkeypatch):
+    """Separation LPs run by ``exact_dimension`` on the benchmark's hard games
+    (same budget); the bounds are the counts of the current search."""
+    calls = []
+    real_lp = PartOracle._lp
+
+    def counting(self, masks):
+        calls.append(masks)
+        return real_lp(self, masks)
+
+    monkeypatch.setattr(PartOracle, "_lp", counting)
+    budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
+    games = {
+        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 33),
+        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 24),
+        "fam32": (losing_witness_family(3, 2)[0], 3, 111),
+    }
+    for name, (g, exact, bound) in games.items():
+        calls.clear()
+        assert exact_dimension(g, budget).exact == exact, name
+        assert len(calls) <= bound, (name, len(calls))

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from simplegames import _exactlp, lpsep
-from simplegames._exactlp import EQ, GEQ, LEQ, LinearSystem
+from simplegames._exactlp import EQ, GEQ, LEQ, LinearSystem, RowBlock
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.lpsep import _incidence_rows, _separate
 
@@ -68,7 +68,7 @@ def separation_runs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpsep, "LinearSystem", Recording)
         for n, fixed, variable in _random_separation_inputs(random.Random(71), 24):
-            res = _separate(n, fixed, variable)
+            res = _separate(n, RowBlock(fixed), variable)
             system = systems[-1]
             runs.append((system, res, system.solve(force_exact=True)))
     return runs
@@ -86,6 +86,15 @@ class TestFloatAgainstExact:
         for _, res, exact in separation_runs:
             assert exact.exact_path
             assert res.feasible == exact.feasible
+
+    def test_shared_block_changes_no_result(self, separation_runs):
+        # the game's side is normalised once as a RowBlock; the same system
+        # normalised whole takes the same float path to the same answer
+        for system, _, _ in separation_runs:
+            assert system.rows[: len(system.block.rows)] == system.block.rows
+            whole = LinearSystem(system.num_vars, list(system.rows))
+            assert whole._leq_rows() == system._leq_rows()
+            assert whole.solve() == system.solve()
 
     def test_points_and_certificates_verify(self, separation_runs):
         for system, *results in separation_runs:
@@ -120,6 +129,15 @@ def _fractional_system() -> LinearSystem:
     system.add([1, 1], GEQ, 1)
     system.add([1, -1], EQ, Fraction(1, 5))
     return system
+
+
+def test_row_block_normalises_like_the_whole_system():
+    rows = _fractional_system().rows + [((Fraction(2, 3), 0), GEQ, Fraction(1, 6))]
+    whole = LinearSystem(2, rows)
+    for cut in range(len(rows) + 1):
+        split = LinearSystem(2, rows, RowBlock(rows[:cut]))
+        assert split._leq_rows() == whole._leq_rows()
+        assert split.solve() == whole.solve()
 
 
 class TestCheckFarkas:
