@@ -1,12 +1,16 @@
 """Exact rational feasibility for linear systems over nonnegative variables.
 
-Verdicts are never taken from floating point.  Systems below a size threshold
-go straight to an exact simplex over ``fractions.Fraction``.  Larger systems
-are probed with scipy's HiGHS solver first, but a float answer only counts
-once its witness survives exact verification: a feasible point is rationalised
-and substituted into every row, an infeasibility claim must come with dual
-multipliers that pass an exact Farkas check.  Anything that fails verification
-falls back to the exact simplex, which also produces Farkas certificates.
+Verdicts are never taken from floating point.  The exact route is a phase-1
+simplex on integer rows, run on the system's Farkas alternative: that system
+has one row per column, so the tall, thin separation systems pivot a short
+tableau, and either outcome yields a feasible point or a Farkas certificate
+of the original system.  Systems whose tableau is below a size threshold
+take the exact route directly.  Larger ones are probed with scipy's HiGHS
+solver first, but a float answer only counts once its witness survives exact
+verification: a feasible point is rationalised and substituted into every
+row, an infeasibility claim must come with dual multipliers that pass an
+exact Farkas check.  Anything that fails verification falls back to the
+exact route.  Every exact answer is checked the same way.
 
 Internally every system is normalised to ``A x <= b`` rows (equalities are
 split).  A Farkas certificate is then ``u >= 0`` with ``u^T A >= 0``
@@ -28,7 +32,7 @@ from typing import Callable, Sequence
 
 LEQ, EQ, GEQ = -1, 0, 1
 
-_EXACT_SIZE_LIMIT = 6_000  # rows * columns below this: skip the float pass
+_EXACT_SIZE_LIMIT = 6_000  # exact tableau cells below this: skip the float pass
 _FLOAT_TOL = 1e-9
 _DENOM_LADDER = (10**4, 10**8, 10**12)
 
@@ -166,12 +170,11 @@ class LinearSystem:
         force_exact: bool = False,
     ) -> LPResult:
         leq, origin = self._leq_rows()
-        size = max(1, len(leq)) * (self.num_vars + len(leq))
-        if not force_exact and size > _EXACT_SIZE_LIMIT:
+        if not force_exact and _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
             res = self._solve_float(leq, origin, repair)
             if res is not None:
                 return res
-        feasible, payload = _simplex_phase1(self.num_vars, leq)
+        feasible, payload = _solve_alternative(self.num_vars, leq)
         if feasible:
             x = tuple(payload)
             if not self.check_point(x):
@@ -380,3 +383,36 @@ def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, l
     rc, rc_den = tableau[rows], dens[rows]
     u = [Fraction(rc[slack_base + r] * leq_rows[r][2], rc_den) for r in range(rows)]
     return False, u
+
+
+# -- the Farkas alternative ---------------------------------------------------
+#
+# By Farkas' lemma  A x <= b, x >= 0  is infeasible exactly when
+# -A^T u <= 0, b^T u <= -1, u >= 0  is feasible.  That system has one row
+# per column of A, so on a tall system the simplex above pivots (columns + 2)
+# short rows instead of (rows + 1) long ones.
+
+
+def _tableau_size(num_vars: int, rows: int) -> int:
+    """Cells of the tableau that :func:`_solve_alternative` pivots for
+    ``rows`` <= rows over ``num_vars`` columns."""
+    return (num_vars + 1) * (rows + num_vars + 2)
+
+
+def _solve_alternative(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[Fraction]]:
+    """Same contract as :func:`_simplex_phase1`, solved on the alternative.
+
+    The alternative's rows are the columns of the integer rows, with scale
+    1.  A feasible ``u`` is a certificate over the integer rows, so
+    ``u_r * scale_r`` is one over the unscaled rows.  An infeasible
+    alternative comes with multipliers ``(y, z)``, ``y >= 0``, where
+    ``-A y + z b >= 0`` and ``-z < 0``: ``x = y / z`` is a feasible point.
+    """
+    columns = list(zip(*(a for a, _, _ in leq_rows))) or [()] * num_vars
+    alt = [([-c for c in col], 0, 1) for col in columns]
+    alt.append(([b for _, b, _ in leq_rows], -1, 1))
+    alt_feasible, payload = _simplex_phase1(len(leq_rows), alt)
+    if alt_feasible:
+        return False, [u * scale for u, (_, _, scale) in zip(payload, leq_rows)]
+    *y, z = payload
+    return True, [v / z for v in y]

@@ -27,7 +27,7 @@ from simplegames import (
     upper_bound_lmax,
     weighted_game,
 )
-from simplegames import dimension
+from simplegames import _exactlp, dimension
 from simplegames.certificates import _swap_split
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.dimension import PartOracle, _check_cover, _graph_on
@@ -427,3 +427,24 @@ def test_lp_counts_stay_bounded(monkeypatch):
         calls.clear()
         assert exact_dimension(g, budget).exact == exact, name
         assert len(calls) <= bound, (name, len(calls))
+
+
+def test_float_pass_changes_no_dimension(monkeypatch):
+    """``exact_dimension`` on the benchmark's hard games with the float
+    pre-pass on and off: the same bounds and value, and each witness
+    intersects back to the game."""
+    budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
+    games = {
+        "disj25": build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))),
+        "conj444": build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))),
+        "fam32": losing_witness_family(3, 2)[0],
+    }
+    with_float = {name: exact_dimension(g, budget) for name, g in games.items()}
+    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", float("inf"))  # above every system
+    for name, g in games.items():
+        exact_only = exact_dimension(g, budget)
+        for report in (with_float[name], exact_only):
+            assert intersect_games(report.witness_upper.parts, g.n) == g, name
+        before = with_float[name]
+        assert (exact_only.lower, exact_only.upper, exact_only.exact) == (
+            before.lower, before.upper, before.exact), name

@@ -1,5 +1,6 @@
-"""Exact LP layer: the float pre-pass against the exact simplex, and the
-Farkas certificate check."""
+"""Exact LP layer: the float pre-pass against the exact route, the exact
+route (the simplex on the Farkas alternative) against the simplex on the
+original rows, and the Farkas certificate check."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 
 import oracles
 from simplegames import _exactlp, lpsep
-from simplegames._exactlp import EQ, GEQ, LEQ, LinearSystem, RowBlock
+from simplegames._exactlp import (
+    EQ, GEQ, LEQ, LinearSystem, RowBlock, _simplex_phase1, _solve_alternative, _tableau_size,
+)
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.lpsep import _incidence_rows, _separate
 
@@ -30,15 +33,17 @@ def _farkas_reference(system: LinearSystem, u_orig) -> bool:
     return all(c >= 0 for c in combo) and rhs < 0
 
 
-def _leq_size(system: LinearSystem) -> int:
-    leq = sum(2 if sense == EQ else 1 for _, sense, _ in system.rows)
-    return leq * (system.num_vars + leq)
+# The fixture's systems are tall, so the exact route's tableau is small:
+# 850 cells or more.  The fixture lowers the gate below that to keep every
+# one of them on the float pass.
+_FLOAT_PASS_LIMIT = 800
 
 
 def _random_separation_inputs(rng: random.Random, count: int):
-    """Separation systems of random games on 8-10 players, each above the
-    float threshold: the union or intersection of two random weighted games,
-    its minimal winning coalitions against a random subset of L_max."""
+    """Separation systems of random games on 8-10 players, each with
+    rows * (columns + rows) above ``_EXACT_SIZE_LIMIT``: the union or
+    intersection of two random weighted games, its minimal winning
+    coalitions against a random subset of L_max."""
     out = []
     while len(out) < count:
         n = rng.randint(8, 10)
@@ -65,9 +70,11 @@ def separation_runs():
             return super().solve(*args, **kwargs)
 
     runs = []
+    inputs = _random_separation_inputs(random.Random(71), 24)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpsep, "LinearSystem", Recording)
-        for n, fixed, variable in _random_separation_inputs(random.Random(71), 24):
+        mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
+        for n, fixed, variable in inputs:
             res = _separate(n, RowBlock(fixed), variable)
             system = systems[-1]
             runs.append((system, res, system.solve(force_exact=True)))
@@ -77,7 +84,7 @@ def separation_runs():
 class TestFloatAgainstExact:
     def test_systems_take_the_float_pass(self, separation_runs):
         for system, _, _ in separation_runs:
-            assert _leq_size(system) > _exactlp._EXACT_SIZE_LIMIT
+            assert _tableau_size(system.num_vars, len(system._leq_rows()[0])) > _FLOAT_PASS_LIMIT
         kinds = {(res.feasible, res.exact_path) for _, res, _ in separation_runs}
         # both verdicts occur, and both were decided on the float path
         assert {(True, False), (False, False)} <= kinds
@@ -87,14 +94,17 @@ class TestFloatAgainstExact:
             assert exact.exact_path
             assert res.feasible == exact.feasible
 
-    def test_shared_block_changes_no_result(self, separation_runs):
+    def test_shared_block_changes_no_result(self, separation_runs, monkeypatch):
         # the game's side is normalised once as a RowBlock; the same system
         # normalised whole takes the same float path to the same answer
+        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
         for system, _, _ in separation_runs:
             assert system.rows[: len(system.block.rows)] == system.block.rows
             whole = LinearSystem(system.num_vars, list(system.rows))
             assert whole._leq_rows() == system._leq_rows()
-            assert whole.solve() == system.solve()
+            res = whole.solve()
+            assert not res.exact_path
+            assert res == system.solve()
 
     def test_points_and_certificates_verify(self, separation_runs):
         for system, *results in separation_runs:
@@ -138,6 +148,62 @@ def test_row_block_normalises_like_the_whole_system():
         split = LinearSystem(2, rows, RowBlock(rows[:cut]))
         assert split._leq_rows() == whole._leq_rows()
         assert split.solve() == whole.solve()
+
+
+def _random_rational_system(
+    rng: random.Random, num_vars: int, rows: int, feasible: bool
+) -> LinearSystem:
+    """LEQ, GEQ and EQ rows with fractional entries; about one row in eight
+    is all zeros.  A feasible system is planted around a point ``x0 >= 0``.
+    An infeasible one ends with a row that asks ``c.x`` to exceed a bound
+    which a random nonnegative combination of the other rows puts on it."""
+    x0 = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(num_vars)]
+    system = LinearSystem(num_vars)
+    for _ in range(rows - (not feasible)):
+        if rng.random() < 0.125:
+            coeffs = [0] * num_vars
+        else:
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(num_vars)]
+        sense = rng.choice((LEQ, GEQ, EQ))
+        rhs = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        if feasible:
+            at_x0 = sum(c * v for c, v in zip(coeffs, x0))
+            rhs = at_x0 if sense == EQ else at_x0 - sense * abs(rhs)
+        system.add(coeffs, sense, rhs)
+    if not feasible:
+        combo, bound = [Fraction(0)] * num_vars, Fraction(0)
+        for a, sense, b in system.rows:
+            u = Fraction(rng.randint(-3 if sense == EQ else 0, 3), rng.randint(1, 3))
+            u = -u if sense == GEQ else u  # the row oriented as <=
+            combo = [s + u * c for s, c in zip(combo, a)]
+            bound += u * b
+        system.add(combo, GEQ, bound + Fraction(1, rng.randint(1, 4)))
+    return system
+
+
+# (columns, rows): empty systems, tall and wide shapes, and square ones
+_SHAPES = [(0, 0), (0, 3), (4, 0), (1, 6), (2, 25), (3, 60), (6, 40), (4, 4), (7, 7),
+           (8, 2), (15, 3), (25, 6)]
+
+
+class TestAlternativeAgainstDirect:
+    """The exact route against the simplex run on the original rows."""
+
+    @pytest.mark.parametrize("num_vars, rows", _SHAPES)
+    def test_verdicts_agree_and_verify(self, num_vars, rows):
+        rng = random.Random(1000 * num_vars + rows)
+        for trial in range(30):
+            planted = trial % 2 == 0 or rows == 0
+            system = _random_rational_system(rng, num_vars, rows, planted)
+            leq, origin = system._leq_rows()
+            direct = _simplex_phase1(num_vars, leq)
+            alternative = _solve_alternative(num_vars, leq)
+            assert direct[0] == alternative[0] == planted
+            for feasible, payload in (direct, alternative):
+                if feasible:
+                    assert system.check_point(tuple(payload))
+                else:
+                    assert system.check_farkas(system._fold_farkas(payload, origin))
 
 
 class TestCheckFarkas:
