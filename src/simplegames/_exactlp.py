@@ -12,6 +12,11 @@ row, an infeasibility claim must come with dual multipliers that pass an
 exact Farkas check.  Anything that fails verification falls back to the
 exact route.  Every exact answer is checked the same way.
 
+Results stay in integers: a point or a certificate is a list of integer
+numerators over one positive denominator, and both checks read that form.
+:class:`LPResult` builds its ``Fraction`` view (``x`` or ``farkas``) only
+when someone reads it.
+
 Internally every system is normalised to ``A x <= b`` rows (equalities are
 split).  A Farkas certificate is then ``u >= 0`` with ``u^T A >= 0``
 componentwise and ``u^T b < 0``: for any ``x >= 0`` it forces
@@ -19,13 +24,14 @@ componentwise and ``u^T b < 0``: for any ``x >= 0`` it forces
 
 Systems that share their leading rows (one game asked many separation
 questions) share them as a :class:`RowBlock`, normalised once; each solve
-then normalises only the rows after it.
+then normalises, and transposes for the alternative, only the rows after it.
 """
 
 from __future__ import annotations
 
 import math as _math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from operator import mul as _mul
 from typing import Callable, Sequence
@@ -36,7 +42,8 @@ _EXACT_SIZE_LIMIT = 6_000  # exact tableau cells below this: skip the float pass
 _FLOAT_TOL = 1e-9
 _DENOM_LADDER = (10**4, 10**8, 10**12)
 
-_IntRow = tuple[list[int], int, int]  # a <= row times its scale, and the scale
+_IntRow = tuple[Sequence[int], int, int]  # a <= row times its scale, and the scale
+_INT_ONLY = frozenset((int,))
 
 
 def _normalise(rows, start: int) -> tuple[list[_IntRow], list[int]]:
@@ -45,9 +52,12 @@ def _normalise(rows, start: int) -> tuple[list[_IntRow], list[int]]:
     out: list[_IntRow] = []
     origin: list[int] = []
     for idx, (a, sense, b) in enumerate(rows, start):
-        scale = _math.lcm(b.denominator, *(c.denominator for c in a))
-        ints = [c.numerator * (scale // c.denominator) for c in a]
-        b_int = b.numerator * (scale // b.denominator)
+        if type(b) is int and _INT_ONLY.issuperset(map(type, a)):  # already integers
+            ints, b_int, scale = a, b, 1
+        else:
+            scale = _math.lcm(b.denominator, *(c.denominator for c in a))
+            ints = [c.numerator * (scale // c.denominator) for c in a]
+            b_int = b.numerator * (scale // b.denominator)
         if sense in (LEQ, EQ):
             out.append((ints, b_int, scale))
             origin.append(idx)
@@ -64,32 +74,79 @@ def _dense(np, leq: Sequence[_IntRow], width: int):
     return a_mat.reshape(len(leq), width), b_vec
 
 
-@dataclass(frozen=True)
+def _transpose(leq: Sequence[_IntRow], width: int) -> tuple[list[list[int]], list[int]]:
+    """The alternative's view of integer <= rows: each of the ``width``
+    columns negated, and the right-hand sides."""
+    cols = [[-c for c in col] for col in zip(*(a for a, _, _ in leq))] or [[] for _ in range(width)]
+    return cols, [b for _, b, _ in leq]
+
+
+def _over_one_den(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = _math.lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals], den
+
+
+@dataclass(frozen=True, eq=False)
 class LPResult:
+    """Verdict with its witness as integer numerators ``nums`` over one
+    positive denominator ``den``: the point when feasible, else one
+    multiplier per original row (>= 0 for the row's own sense, signed for
+    equality rows).  ``x`` and ``farkas`` are the same witness in Fractions,
+    built when first read; two results are equal when their verdict, their
+    witness and their path are."""
+
     feasible: bool
-    x: tuple[Fraction, ...] | None = None
-    # multiplier per original row; orientation: >=0 for the row's own sense,
-    # signed for equality rows
-    farkas: tuple[Fraction, ...] | None = None
+    nums: Sequence[int]
+    den: int = 1
     exact_path: bool = True
+
+    def _fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
+
+    @cached_property
+    def x(self) -> tuple[Fraction, ...] | None:
+        return self._fractions() if self.feasible else None
+
+    @cached_property
+    def farkas(self) -> tuple[Fraction, ...] | None:
+        return None if self.feasible else self._fractions()
+
+    def _key(self):
+        return self.feasible, self._fractions(), self.exact_path
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LPResult) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 class RowBlock:
     """Leading rows shared by many systems, normalised to ``<=`` form once.
 
-    The dense float copy of the rows is made on the first float pre-pass
-    that needs it, so callers that stay on the exact path never pay for it.
+    The dense float copy of the rows and their transposed view for the
+    exact route's alternative are each made on the first solve that needs
+    them, so a solve never pays for the other route's copy.
     """
 
     def __init__(self, rows: list[tuple[Sequence[Fraction | int], int, Fraction | int]]):
         self.rows = rows
         self.leq, self.origin = _normalise(rows, 0)
         self._dense = None
+        self._alt = None
 
     def dense(self, np, width: int):
         if self._dense is None:
             self._dense = _dense(np, self.leq, width)
         return self._dense
+
+    def alternative(self, width: int) -> tuple[list[list[int]], list[int]]:
+        """:func:`_transpose` of the rows; ``width``, like that of
+        :meth:`dense`, is the column count of the systems sharing them."""
+        if self._alt is None:
+            self._alt = _transpose(self.leq, width)
+        return self._alt
 
 
 @dataclass
@@ -123,14 +180,24 @@ class LinearSystem:
         leq, origin = _normalise(self.rows[start:], start)
         return self.block.leq + leq, self.block.origin + origin
 
-    def check_point(self, x: Sequence[Fraction]) -> bool:
-        if len(x) != self.num_vars or any(v < 0 for v in x):
+    def _alternative(self, leq: list[_IntRow]) -> tuple[list[list[int]], list[int]]:
+        """:func:`_transpose` of ``leq``, the block's part taken from its cache."""
+        if self.block is None:
+            return _transpose(leq, self.num_vars)
+        head_cols, head_rhs = self.block.alternative(self.num_vars)
+        cols, rhs = _transpose(leq[len(self.block.leq):], self.num_vars)
+        return [h + t for h, t in zip(head_cols, cols)], head_rhs + rhs
+
+    def check_point(self, x: Sequence[Fraction | int], den: int | None = None) -> bool:
+        """Exact check that the point satisfies every row: ``x`` holds integer
+        numerators over ``den``, or rationals when ``den`` is omitted."""
+        if den is None:
+            x, den = _over_one_den(x)
+        if len(x) != self.num_vars or den <= 0 or any(v < 0 for v in x):
             return False
-        # x scaled by its common denominator: integer rows stay in integers
-        den = _math.lcm(*(v.denominator for v in x))
-        xs = [v.numerator * (den // v.denominator) for v in x]
+        # rows against the numerators: integer rows stay in integers
         for a, sense, b in self.rows:
-            lhs = sum(map(_mul, a, xs))
+            lhs = sum(map(_mul, a, x))
             rhs = b * den
             if sense == LEQ and lhs > rhs:
                 return False
@@ -140,20 +207,21 @@ class LinearSystem:
                 return False
         return True
 
-    def check_farkas(self, u_orig: Sequence[Fraction]) -> bool:
-        """Exact check of a per-original-row certificate of infeasibility."""
-        if len(u_orig) != len(self.rows):
+    def check_farkas(self, u_orig: Sequence[Fraction | int], den: int | None = None) -> bool:
+        """Exact check of a per-original-row certificate of infeasibility,
+        given like the point of :meth:`check_point`."""
+        if den is None:
+            u_orig, den = _over_one_den(u_orig)
+        if len(u_orig) != len(self.rows) or den <= 0:
             return False
-        # u scaled by its common denominator: integer rows stay in integers
-        den = _math.lcm(*(u.denominator for u in u_orig))
+        # the certificate scaled by den: integer rows stay in integers
         combo = [0] * self.num_vars
         rhs = 0
-        for (a, sense, b), u in zip(self.rows, u_orig):
-            if sense != EQ and u < 0:
+        for (a, sense, b), k in zip(self.rows, u_orig):
+            if sense != EQ and k < 0:
                 return False  # only equality rows take a signed multiplier
-            if not u:
+            if not k:
                 continue
-            k = u.numerator * (den // u.denominator)
             if sense == GEQ:
                 k = -k  # orient the row as <=, like LEQ and EQ rows
             combo = [s + k * c for s, c in zip(combo, a)]
@@ -174,24 +242,24 @@ class LinearSystem:
             res = self._solve_float(leq, origin, repair)
             if res is not None:
                 return res
-        feasible, payload = _solve_alternative(self.num_vars, leq)
+        feasible, nums, den = _solve_alternative(leq, self._alternative(leq))
         if feasible:
-            x = tuple(payload)
-            if not self.check_point(x):
+            if not self.check_point(nums, den):
                 raise AssertionError("exact simplex returned a bad point")
-            return LPResult(True, x=x)
-        u = self._fold_farkas(payload, origin)
-        if not self.check_farkas(u):
+            return LPResult(True, nums, den)
+        u = self._fold_farkas(nums, origin)
+        if not self.check_farkas(u, den):
             raise AssertionError("exact simplex returned a bad certificate")
-        return LPResult(False, farkas=u)
+        return LPResult(False, u, den)
 
-    def _fold_farkas(self, u_leq: Sequence[Fraction], origin: Sequence[int]) -> tuple[Fraction, ...]:
-        """Fold <=-form multipliers back onto original rows.
+    def _fold_farkas(self, u_leq: Sequence, origin: Sequence[int]) -> list:
+        """Fold <=-form multipliers (integers or Fractions) back onto
+        original rows.
 
         Equality rows expand to ``(a, b)`` then ``(-a, -b)``; their net signed
         multiplier is first minus second, oriented like a LEQ row.
         """
-        folded = [Fraction(0)] * len(self.rows)
+        folded = [0] * len(self.rows)
         seen_first: set[int] = set()
         for u, idx in zip(u_leq, origin):
             _, sense, _ = self.rows[idx]
@@ -200,7 +268,7 @@ class LinearSystem:
             else:
                 folded[idx] += u
                 seen_first.add(idx)
-        return tuple(folded)
+        return folded
 
     def _solve_float(self, leq, origin, repair) -> LPResult | None:
         try:
@@ -227,8 +295,9 @@ class LinearSystem:
             for denom in _DENOM_LADDER:
                 cands.append(tuple(Fraction(v).limit_denominator(denom) for v in probe.x))
             for x in cands:
-                if self.check_point(x):
-                    return LPResult(True, x=x, exact_path=False)
+                nums, den = _over_one_den(x)
+                if self.check_point(nums, den):
+                    return LPResult(True, nums, den, exact_path=False)
             return None
         if probe.status != 2:
             return None
@@ -242,9 +311,9 @@ class LinearSystem:
         duals = [max(0.0, -m) for m in relaxed.ineqlin.marginals]
         for denom in _DENOM_LADDER:
             u_leq = [Fraction(d).limit_denominator(denom) for d in duals]
-            u = self._fold_farkas(u_leq, origin)
-            if self.check_farkas(u):
-                return LPResult(False, farkas=u, exact_path=False)
+            nums, den = _over_one_den(self._fold_farkas(u_leq, origin))
+            if self.check_farkas(nums, den):
+                return LPResult(False, nums, den, exact_path=False)
         return None
 
 
@@ -269,17 +338,48 @@ def _row_gcd_reduce(nums: list[int], den: int) -> int:
     return den
 
 
-def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[Fraction]]:
+def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[int], int]:
     """Feasibility of ``A x <= b, x >= 0`` with exact arithmetic.
 
     Rows come as integers with the factor they were scaled by.  Returns
-    ``(True, x)`` or ``(False, u)`` where ``u`` are nonnegative multipliers
-    over the unscaled rows with ``u^T A >= 0`` and ``u^T b < 0``.
+    ``(True, x, den)`` for the point ``x / den``, or ``(False, u, den)``
+    where ``u / den`` are nonnegative multipliers over the unscaled rows
+    with ``u^T A >= 0`` and ``u^T b < 0``; ``den`` is positive.
     """
     rows = len(leq_rows)
     if rows == 0:
-        return True, [Fraction(0)] * num_vars
+        return True, [0] * num_vars, 1
+    tableau, dens, basis = _phase1_tableau(num_vars, leq_rows)
+    width = len(tableau[0]) - 1
+    art_base = num_vars + rows
+    infeasible = any(
+        basis[r] >= art_base and tableau[r][width] != 0 for r in range(rows)
+    )
+    if not infeasible:
+        basic = [r for r in range(rows) if basis[r] < num_vars]
+        den = _math.lcm(*(dens[r] for r in basic))
+        x = [0] * num_vars
+        for r in basic:
+            x[basis[r]] = tableau[r][width] * (den // dens[r])
+        return True, x, den
 
+    # infeasible: for both row kinds the <=-form multiplier is the reduced
+    # cost of the row's slack/surplus column (kept: u = -y, rc = -y;
+    # flipped: u = +y, rc = +y); phase-1 optimality makes them >= 0.  Undo
+    # the input row scaling so the certificate fits the caller's rows.
+    rc = tableau[rows]
+    return False, [rc[num_vars + r] * leq_rows[r][2] for r in range(rows)], dens[rows]
+
+
+def _phase1_tableau(
+    num_vars: int, leq_rows: Sequence[_IntRow]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Phase 1 pivoted to optimality on at least one row: the final tableau
+    (one integer row per input row, then the reduced-cost row, each ending
+    in its rhs), each row's denominator and the basic column of each row.
+    Columns are the variables, one slack/surplus per row, then one
+    artificial per row with a negative rhs."""
+    rows = len(leq_rows)
     flipped = [b < 0 for _, b, _ in leq_rows]
     n_art = sum(flipped)
     slack_base = num_vars
@@ -365,24 +465,7 @@ def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, l
                     dens[r] = _row_gcd_reduce(trow, dens[r] * piv)
         dens[leave] = _row_gcd_reduce(prow, piv)
         basis[leave] = enter
-
-    infeasible = any(
-        basis[r] >= art_base and tableau[r][width] != 0 for r in range(rows)
-    )
-    if not infeasible:
-        x = [Fraction(0)] * num_vars
-        for r in range(rows):
-            if basis[r] < num_vars:
-                x[basis[r]] = Fraction(tableau[r][width], dens[r])
-        return True, x
-
-    # infeasible: for both row kinds the <=-form multiplier is the reduced
-    # cost of the row's slack/surplus column (kept: u = -y, rc = -y;
-    # flipped: u = +y, rc = +y); phase-1 optimality makes them >= 0.  Undo
-    # the input row scaling so the certificate fits the caller's rows.
-    rc, rc_den = tableau[rows], dens[rows]
-    u = [Fraction(rc[slack_base + r] * leq_rows[r][2], rc_den) for r in range(rows)]
-    return False, u
+    return tableau, dens, basis
 
 
 # -- the Farkas alternative ---------------------------------------------------
@@ -399,20 +482,23 @@ def _tableau_size(num_vars: int, rows: int) -> int:
     return (num_vars + 1) * (rows + num_vars + 2)
 
 
-def _solve_alternative(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[Fraction]]:
+def _solve_alternative(
+    leq_rows: Sequence[_IntRow], alt: tuple[list[list[int]], list[int]]
+) -> tuple[bool, list[int], int]:
     """Same contract as :func:`_simplex_phase1`, solved on the alternative.
 
-    The alternative's rows are the columns of the integer rows, with scale
-    1.  A feasible ``u`` is a certificate over the integer rows, so
+    ``alt`` is :func:`_transpose` of ``leq_rows``: the alternative's rows
+    are the negated columns of the integer rows and the rhs, with scale 1.
+    A feasible ``u`` is a certificate over the integer rows, so
     ``u_r * scale_r`` is one over the unscaled rows.  An infeasible
     alternative comes with multipliers ``(y, z)``, ``y >= 0``, where
-    ``-A y + z b >= 0`` and ``-z < 0``: ``x = y / z`` is a feasible point.
+    ``-A y + z b >= 0`` and ``-z < 0``: the point is ``y`` over ``z``.
     """
-    columns = list(zip(*(a for a, _, _ in leq_rows))) or [()] * num_vars
-    alt = [([-c for c in col], 0, 1) for col in columns]
-    alt.append(([b for _, b, _ in leq_rows], -1, 1))
-    alt_feasible, payload = _simplex_phase1(len(leq_rows), alt)
+    cols, rhs = alt
+    alt_rows = [(col, 0, 1) for col in cols]
+    alt_rows.append((rhs, -1, 1))
+    alt_feasible, nums, den = _simplex_phase1(len(leq_rows), alt_rows)
     if alt_feasible:
-        return False, [u * scale for u, (_, _, scale) in zip(payload, leq_rows)]
-    *y, z = payload
-    return True, [v / z for v in y]
+        return False, [u * scale for u, (_, _, scale) in zip(nums, leq_rows)], den
+    *y, z = nums
+    return True, y, z

@@ -14,8 +14,8 @@ any length exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import desirability, lpsep
 from .core import (
@@ -27,7 +27,7 @@ from .core import (
     _bits,
     _popcount,
 )
-from .lpsep import separable_result
+from .lpsep import _primitive, separable_result
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     res, win_rows, lose_rows = separable_result(g.n, g.minwin_masks, maxlose)
     if res.feasible:
         raise AssertionError("weightedness check and separation LP disagree")
-    cert = _certificate_from_farkas(g, res.farkas, win_rows, lose_rows)
+    cert = _certificate_from_farkas(g, res.nums, win_rows, lose_rows)
     if cert is not None and cert.length <= max_len:
         return cert
     return None
@@ -196,24 +196,21 @@ def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransf
 
 def _certificate_from_farkas(
     g: SimpleGame,
-    farkas,
+    farkas: Sequence[int],
     win_rows: list[int],
     lose_rows: list[int],
 ) -> TradingTransform | None:
-    """Assemble a certificate from exact multipliers of the infeasible LP.
+    """Assemble a certificate from exact multipliers of the infeasible LP,
+    given as integer numerators over a common positive denominator.
 
-    Integer-scaled multipliers give per-player winning counts at most the
-    losing counts and at least as many pre as post coalitions.  Padding with
+    Integer multipliers give per-player winning counts at most the losing
+    counts and at least as many pre as post coalitions.  Padding with
     empty losing coalitions equalises the lengths, after which each player
     deficit is absorbed by enlarging pre-coalitions (supersets stay winning).
     """
-    mults = list(farkas[: len(win_rows) + len(lose_rows)])
-    if not mults:
+    ints = _primitive(farkas[: len(win_rows) + len(lose_rows)])
+    if not ints:
         return None
-    denom = math.lcm(*(m.denominator for m in mults)) if mults else 1
-    ints = [int(m * denom) for m in mults]
-    common = math.gcd(*ints) if any(ints) else 1
-    ints = [v // common for v in ints]
     lam = ints[: len(win_rows)]
     mu = ints[len(win_rows) :]
     pre: list[int] = []

@@ -49,7 +49,7 @@ from .core import (
     _popcount,
 )
 from .hierarchical import HierarchicalSpec, Kind
-from .lpsep import WeightedRep, _canonical_rep, _incidence_rows, _separate, threshold_table
+from .lpsep import WeightedRep, _incidence_rows, _primitive, _separate, threshold_table
 
 _ORBIT_MEMO_MAX_N = MAX_TABLE_PLAYERS
 
@@ -65,6 +65,11 @@ class Budget:
     max_lmax: int = 30
     clique_exact: int = 200
     max_nodes: int = 300_000
+
+    def __post_init__(self) -> None:
+        for name in ("max_lmax", "clique_exact", "max_nodes"):
+            if getattr(self, name) < 0:
+                raise InvalidGameError(f"budget {name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,11 @@ def upper_bound_lmax(g: SimpleGame) -> tuple[int, IntersectionRep]:
     return len(maxlose), IntersectionRep(g.n, parts)
 
 
+def _lowest(bits: int) -> int:
+    """Index of the lowest set bit of a nonzero bitset."""
+    return (bits & -bits).bit_length() - 1
+
+
 class PartOracle:
     """Memoised exact feasibility of a single weighted part.
 
@@ -145,8 +155,15 @@ class PartOracle:
     (pairs only), previously found witnesses, and finally the exact
     separation LP of ``lpsep``.  The game's side of that LP is built once,
     here (its integer ``<=`` rows at construction, their float copy on the
-    first float solve), so an LP normalises only the queried coalitions.
-    Every feasible verdict stores its witness.
+    first float solve, their transposed view on the first exact solve), so
+    an LP normalises and transposes only the queried coalitions.  Every
+    feasible verdict stores its witness.
+
+    Witnesses are kept as integers: the LP's integer point divided by its
+    gcd gives the same coprime weights and quota as ``lpsep``'s canonical
+    form.  The set memo holds witness indices; a :class:`WeightedRep` is
+    built only when a witness is handed out, by ``separable_set`` or for a
+    block of the greedy cover.
 
     Stored witnesses are indexed per coalition: each queried coalition keeps
     an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
@@ -172,11 +189,13 @@ class PartOracle:
         # subsets of L_max, lose L_max when winning subsets of W_min
         self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
         self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"))
-        self._set_memo: dict[frozenset[int], WeightedRep | None] = {}
+        self._set_memo: dict[frozenset[int], int | None] = {}  # witness index
         self._pair_orbit: dict[int, bool] | None = None
         self._codes: dict[int, int] = {}
-        # stored witnesses with their (integer) weights and quota
-        self._witnesses: list[tuple[WeightedRep, list[int], int]] = []
+        # stored witnesses as coprime integer weights and quota, and the
+        # WeightedRep of each one handed out
+        self._witnesses: list[tuple[list[int], int]] = []
+        self._reps: dict[int, WeightedRep] = {}
         self._handled_by: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}  # players of each queried coalition
         self.lp_calls = 0
@@ -213,7 +232,7 @@ class PartOracle:
         if handled is None:
             members = self._members[mask] = _bits(mask)
             handled = self._handled_by[mask] = sum(
-                1 << k for k, (_, weights, quota) in enumerate(self._witnesses)
+                1 << k for k, (weights, quota) in enumerate(self._witnesses)
                 if self._handles(weights, quota, members)
             )
         return handled
@@ -227,31 +246,42 @@ class PartOracle:
             common &= self._handled(m)
         return common
 
-    def _first(self, common: int) -> WeightedRep | None:
-        """The first stored witness in the bitset ``common``."""
-        return self._witnesses[(common & -common).bit_length() - 1][0] if common else None
+    def _rep(self, k: int) -> WeightedRep:
+        """Stored witness ``k`` as a :class:`WeightedRep`."""
+        rep = self._reps.get(k)
+        if rep is None:
+            weights, quota = self._witnesses[k]
+            rep = self._reps[k] = WeightedRep(tuple(weights), quota)
+        return rep
 
-    def _lp(self, masks: frozenset[int]) -> WeightedRep | None:
+    def _lp(self, masks: frozenset[int]) -> int | None:
+        """Index of the witness the LP stores for ``masks``, or None."""
         self.lp_calls += 1
         variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
         res = _separate(self.n, self._fixed, variable)
         if not res.feasible:
             return None
-        rep = _canonical_rep(res.x[: self.n], res.x[self.n])
-        weights, quota = [int(w) for w in rep.weights], int(rep.quota)
-        bit = 1 << len(self._witnesses)
-        self._witnesses.append((rep, weights, quota))
+        *weights, quota = _primitive(res.nums[: self.n + 1])
+        k = len(self._witnesses)
+        self._witnesses.append((weights, quota))
         for m, handled in self._handled_by.items():
             if self._handles(weights, quota, self._members[m]):
-                self._handled_by[m] = handled | bit
-        return rep
+                self._handled_by[m] = handled | 1 << k
+        return k
+
+    def _index(self, masks) -> int | None:
+        """Index of the first stored witness handling every coalition of
+        ``masks``, else of the one the LP stores, or None if inseparable."""
+        common = self._common(masks)
+        return _lowest(common) if common else self._lp(frozenset(masks))
 
     # -- queries -------------------------------------------------------------
 
     def separable_set(self, masks: frozenset[int]) -> WeightedRep | None:
         if masks not in self._set_memo:
-            self._set_memo[masks] = self._first(self._common(masks)) or self._lp(masks)
-        return self._set_memo[masks]
+            self._set_memo[masks] = self._index(masks)
+        k = self._set_memo[masks]
+        return None if k is None else self._rep(k)
 
     def pair_compatible(self, a: int, b: int) -> bool:
         """True iff one part can handle both coalitions together."""
@@ -273,25 +303,27 @@ class PartOracle:
         if _swap_split(self.g, a, b, self.mode == "lose") is not None:
             self._set_memo[pair] = None
             return False
-        rep = self._first(self._common((a, b))) or self._lp(pair)
-        self._set_memo[pair] = rep
-        return rep is not None
+        k = self._set_memo[pair] = self._index(pair)
+        return k is not None
 
-    def _join(self, masks: list[int], common: int, mask: int) -> tuple[WeightedRep | None, int]:
-        """Witness for ``masks`` plus ``mask`` (None if inseparable), and the
-        bitset to keep for the joined set.
+    def _join(self, masks: list[int], common: int, mask: int) -> int:
+        """Bitset of stored witnesses to keep for ``masks`` plus ``mask``;
+        0 if no part handles them together.
 
         ``common`` is the bitset of ``masks`` (``-1`` when empty).  It may
         miss witnesses stored since it was taken; those sit above all of its
         bits, so a nonzero AND with ``mask``'s bitset still starts at the
         first stored witness handling the whole set.  Only when that AND is
-        0 does the full ``separable_set`` (memo, stored witnesses, LP) run.
+        0 does the full ``separable_set`` (memo, stored witnesses, LP) run;
+        a witness it finds handles every member, so its bit is in the
+        recomputed AND.
         """
         common &= self._handled(mask)
         if common:
-            return self._first(common), common
-        rep = self.separable_set(frozenset(masks).union((mask,)))
-        return rep, (self._common(masks) & self._handled(mask) if rep is not None else 0)
+            return common
+        if self.separable_set(frozenset(masks).union((mask,))) is None:
+            return 0
+        return self._common(masks) & self._handled(mask)
 
     def _incompatible_rows(self, verts: list[int]):
         """For each vertex index i, the bitset of indices j > i whose pair
@@ -441,21 +473,21 @@ def _greedy_cover(
     while uncovered:
         seed = uncovered[0]
         block, masks, block_adj = [seed], [verts[seed]], adj[seed]
-        rep, common = oracle._join([], -1, verts[seed])
-        if rep is None:
+        common = oracle._join([], -1, verts[seed])
+        if not common:
             raise AssertionError("singleton blocks are always feasible")
         for e in uncovered[1:]:
             if block_adj >> e & 1:
                 continue
-            cand, joined = oracle._join(masks, common, verts[e])
-            if cand is not None:
+            joined = oracle._join(masks, common, verts[e])
+            if joined:
                 block.append(e)
                 masks.append(verts[e])
                 block_adj |= adj[e]
-                rep, common = cand, joined
+                common = joined
         covered = set(block)
         uncovered = [e for e in uncovered if e not in covered]
-        blocks.append((block, rep))
+        blocks.append((block, oracle._rep(_lowest(common))))
     return blocks
 
 
@@ -492,8 +524,8 @@ def _exists_cover(
         for b in range(len(blocks)):
             if block_adj[b] >> v & 1:
                 continue
-            rep, joined = oracle._join(blocks[b], common[b], verts[v])
-            if rep is None:
+            joined = oracle._join(blocks[b], common[b], verts[v])
+            if not joined:
                 continue
             blocks[b].append(verts[v])
             saved = block_adj[b], common[b]

@@ -103,12 +103,17 @@ class RoughRep(_Weights):
             raise InvalidGameError("weights and quota cannot all be zero")
 
 
-def _canonical_rep(weights: Sequence[Fraction], quota: Fraction) -> WeightedRep:
-    """Scale a witness to coprime integers for stable, readable output."""
-    denom = math.lcm(quota.denominator, *(w.denominator for w in weights))
-    ints = [v.numerator * (denom // v.denominator) for v in (*weights, quota)]
-    g = math.gcd(*ints) or 1
-    return WeightedRep(tuple(v // g for v in ints[:-1]), ints[-1] // g)
+def _primitive(nums: Sequence[int]) -> list[int]:
+    """Integers scaled down by their gcd (all-zero stays all-zero)."""
+    g = math.gcd(*nums) or 1
+    return [v // g for v in nums]
+
+
+def _canonical_rep(nums: Sequence[int]) -> WeightedRep:
+    """A witness given as integer weights then quota, over any common
+    positive denominator, as coprime integers for stable, readable output."""
+    *weights, quota = _primitive(nums)
+    return WeightedRep(tuple(weights), quota)
 
 
 def separable(
@@ -146,7 +151,7 @@ def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int])
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
     res = _separate(n, RowBlock(_incidence_rows(win, n, True)), _incidence_rows(lose, n, False))
-    return _canonical_rep(res.x[:n], res.x[n]) if res.feasible else None
+    return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
 
 
 def separable_result(
@@ -266,7 +271,7 @@ def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
     res = _separate(m, fixed, _separation_rows(lose, False), force_exact=True)
     if not res.feasible:
         return None
-    return _canonical_rep(tuple(res.x[part.class_of[p]] for p in range(g.n)), res.x[m])
+    return _canonical_rep([res.nums[part.class_of[p]] for p in range(g.n)] + [res.nums[m]])
 
 
 def is_roughly_weighted(g: SimpleGame) -> RoughRep | None:

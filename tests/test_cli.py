@@ -133,6 +133,11 @@ class TestDimensionCommand:
         out = capsys.readouterr().out
         assert "not determined" in out
 
+    def test_negative_budget_exits_usage(self, capsys):
+        rc = main(["dimension", "--hier", "disj", "--n", "2,4", "--k", "2,4", "--budget", "-3"])
+        assert rc == EXIT_USAGE
+        assert "budget max_lmax must be nonnegative" in capsys.readouterr().err
+
     def test_lower_only(self, capsys):
         rc = main(["dimension", "--os3", "k=2", "m=2", "--lower-only"])
         assert rc == EXIT_OK

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +32,7 @@ from simplegames import _exactlp, dimension
 from simplegames.certificates import _swap_split
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.dimension import PartOracle, _check_cover, _graph_on
-from simplegames.lpsep import separable_masks, threshold_table
+from simplegames.lpsep import _canonical_rep, separable_masks, threshold_table
 
 WIDE = Budget(max_lmax=200, clique_exact=250)
 
@@ -178,6 +179,51 @@ class TestExactDimension:
         assert exact_dimension(all_lose).exact == 1
 
 
+class TestBudget:
+    @pytest.mark.parametrize("field", ["max_lmax", "clique_exact", "max_nodes"])
+    def test_rejects_negative_fields(self, field):
+        with pytest.raises(InvalidGameError, match=field):
+            Budget(**{field: -1})
+
+    def test_accepts_zero(self):
+        assert Budget(max_lmax=0, clique_exact=0, max_nodes=0).max_nodes == 0
+
+
+class TestTrivialGames:
+    """All-winning and all-losing games have dimension and codimension 1 on
+    every route, with witnesses that combine back to the game."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["all-win", "all-lose"])
+    def test_every_route_reports_one(self, n, kind):
+        g = make_game(n, [Coalition.of([], n)] if kind == "all-win" else [])
+        full = (1 << (1 << n)) - 1
+        for route, target, unite in (
+            (exact_dimension, g, False),
+            (codimension, dual(g), False),
+            (codimension_direct, g, True),
+        ):
+            report = route(g)
+            assert (report.lower, report.upper, report.exact) == (1, 1, 1), route
+            tables = [threshold_table(p.weights, p.quota, n) for p in report.witness_upper.parts]
+            combined = 0 if unite else full
+            for table in tables:
+                combined = combined | table if unite else combined & table
+            assert SimpleGame._from_table(n, combined) == target, route
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_oracle_with_empty_fixed_block(self, n):
+        # lose mode on the all-losing game: no minimal winning coalition, so
+        # the game's side of every LP has no rows and nothing to transpose
+        g = make_game(n, [])
+        oracle = PartOracle(g, "lose")
+        rep = oracle.separable_set(frozenset(maximal_losing_masks(g)))
+        assert rep == WeightedRep((0,) * n, 1)
+        assert oracle._witnesses == [([0] * n, 1)]
+        # n weights and the quota: one empty column each
+        assert oracle._fixed.rows == [] and oracle._fixed.alternative(n + 1) == ([[]] * (n + 1), [])
+
+
 class TestConjunctiveRep:
     def test_example_parts(self):
         spec = HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))
@@ -291,6 +337,53 @@ def test_separation_routes_agree_on_random_games():
                     assert not oracle.pair_compatible(a, b)
                     assert lp_only.separable_set(frozenset((a, b))) is None
 
+
+
+def _fraction_canonical(x) -> list[int]:
+    """Reference: a Fraction witness (weights, then quota) scaled to coprime
+    integers over the least common denominator of its entries."""
+    denom = math.lcm(*(v.denominator for v in x))
+    ints = [v.numerator * (denom // v.denominator) for v in x]
+    g = math.gcd(*ints) or 1
+    return [v // g for v in ints]
+
+
+def test_oracle_witnesses_match_the_fraction_point(monkeypatch):
+    """Each witness an oracle stores is its LP's Fraction point in canonical
+    form, kept as integers; the WeightedReps built from them when handed out
+    are the same canonical form."""
+    results = []
+    real_separate = dimension._separate
+
+    def recording(*args, **kwargs):
+        res = real_separate(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(dimension, "_separate", recording)
+    rng = random.Random(73)
+    stored = 0
+    for g in _cache_test_games(rng):
+        for mode in ("lose", "win"):
+            results.clear()
+            oracle = PartOracle(g, mode)
+            verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+            handed = []
+            for a, b in combinations(verts, 2):
+                oracle.pair_compatible(a, b)
+            for q in rng.sample(list(combinations(verts, 3)), min(10, math.comb(len(verts), 3))):
+                handed.append(oracle.separable_set(frozenset(q)))
+            feasible = [res for res in results if res.feasible]
+            assert len(oracle._witnesses) == len(feasible)
+            for k, res in enumerate(feasible):
+                want = _fraction_canonical(res.x[: g.n + 1])
+                weights, quota = oracle._witnesses[k]
+                assert weights + [quota] == want
+                rep = WeightedRep(tuple(want[:-1]), want[-1])
+                assert oracle._rep(k) == rep == _canonical_rep(res.nums[: g.n + 1])
+            assert set(handed) - {None} <= {oracle._rep(k) for k in range(len(feasible))}
+            stored += len(feasible)
+    assert stored > 0
 
 
 def _cache_test_games(rng):

@@ -1,8 +1,13 @@
 """Exact LP layer: the float pre-pass against the exact route, the exact
 route (the simplex on the Farkas alternative) against the simplex on the
-original rows, and the Farkas certificate check."""
+original rows, the integer read-out of the simplex against a Fraction
+read-out of the same tableau, and the Farkas certificate check."""
 
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -10,7 +15,8 @@ import pytest
 import oracles
 from simplegames import _exactlp, lpsep
 from simplegames._exactlp import (
-    EQ, GEQ, LEQ, LinearSystem, RowBlock, _simplex_phase1, _solve_alternative, _tableau_size,
+    EQ, GEQ, LEQ, LinearSystem, RowBlock, _phase1_tableau, _simplex_phase1, _solve_alternative,
+    _tableau_size, _transpose,
 )
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.lpsep import _incidence_rows, _separate
@@ -31,6 +37,42 @@ def _farkas_reference(system: LinearSystem, u_orig) -> bool:
             combo[j] += u * c
         rhs += u * b
     return all(c >= 0 for c in combo) and rhs < 0
+
+
+def _fraction_phase1(num_vars: int, leq_rows):
+    """Reference read-out of the final phase-1 tableau in Fractions, one
+    per coordinate: ``(True, x)`` or ``(False, u)`` over the unscaled rows."""
+    rows = len(leq_rows)
+    if rows == 0:
+        return True, [Fraction(0)] * num_vars
+    tableau, dens, basis = _phase1_tableau(num_vars, leq_rows)
+    width = len(tableau[0]) - 1
+    if all(basis[r] < num_vars + rows or tableau[r][width] == 0 for r in range(rows)):
+        x = [Fraction(0)] * num_vars
+        for r in range(rows):
+            if basis[r] < num_vars:
+                x[basis[r]] = Fraction(tableau[r][width], dens[r])
+        return True, x
+    rc, rc_den = tableau[rows], dens[rows]
+    return False, [Fraction(rc[num_vars + r] * leq_rows[r][2], rc_den) for r in range(rows)]
+
+
+def _fraction_alternative(num_vars: int, leq_rows):
+    """Reference for :func:`_solve_alternative`: the alternative transposed
+    here, read out by :func:`_fraction_phase1`, and ``x = y / z`` or
+    ``u * scale`` taken in Fractions."""
+    columns = list(zip(*(a for a, _, _ in leq_rows))) or [()] * num_vars
+    alt = [([-c for c in col], 0, 1) for col in columns]
+    alt.append(([b for _, b, _ in leq_rows], -1, 1))
+    alt_feasible, payload = _fraction_phase1(len(leq_rows), alt)
+    if alt_feasible:
+        return False, [u * scale for u, (_, _, scale) in zip(payload, leq_rows)]
+    *y, z = payload
+    return True, [v / z for v in y]
+
+
+def _fractions(nums, den):
+    return [Fraction(v, den) for v in nums]
 
 
 # The fixture's systems are tall, so the exact route's tableau is small:
@@ -105,6 +147,16 @@ class TestFloatAgainstExact:
             res = whole.solve()
             assert not res.exact_path
             assert res == system.solve()
+
+    def test_exact_result_matches_fraction_readout(self, separation_runs):
+        for system, _, exact in separation_runs:
+            leq, origin = system._leq_rows()
+            feasible, ref = _fraction_alternative(system.num_vars, leq)
+            assert exact.feasible == feasible
+            if feasible:
+                assert list(exact.x) == ref
+            else:
+                assert list(exact.farkas) == system._fold_farkas(ref, origin)
 
     def test_points_and_certificates_verify(self, separation_runs):
         for system, *results in separation_runs:
@@ -197,13 +249,35 @@ class TestAlternativeAgainstDirect:
             system = _random_rational_system(rng, num_vars, rows, planted)
             leq, origin = system._leq_rows()
             direct = _simplex_phase1(num_vars, leq)
-            alternative = _solve_alternative(num_vars, leq)
+            alternative = _solve_alternative(leq, _transpose(leq, num_vars))
             assert direct[0] == alternative[0] == planted
-            for feasible, payload in (direct, alternative):
+            for feasible, nums, den in (direct, alternative):
                 if feasible:
-                    assert system.check_point(tuple(payload))
+                    assert system.check_point(nums, den)
                 else:
-                    assert system.check_farkas(system._fold_farkas(payload, origin))
+                    assert system.check_farkas(system._fold_farkas(nums, origin), den)
+
+    @pytest.mark.parametrize("num_vars, rows", _SHAPES)
+    def test_integer_readout_matches_fraction_readout(self, num_vars, rows):
+        rng = random.Random(1000 * num_vars + rows)
+        for trial in range(30):
+            planted = trial % 2 == 0 or rows == 0
+            system = _random_rational_system(rng, num_vars, rows, planted)
+            leq, origin = system._leq_rows()
+            routes = (
+                (_simplex_phase1(num_vars, leq), _fraction_phase1(num_vars, leq)),
+                (_solve_alternative(leq, _transpose(leq, num_vars)), _fraction_alternative(num_vars, leq)),
+            )
+            for (feasible, nums, den), (ref_feasible, ref) in routes:
+                assert den > 0 and feasible == ref_feasible
+                assert _fractions(nums, den) == ref
+            res = system.solve()
+            feasible, ref = _fraction_alternative(num_vars, leq)
+            assert res.feasible == feasible
+            if feasible:
+                assert list(res.x) == ref
+            else:
+                assert list(res.farkas) == system._fold_farkas(ref, origin)
 
 
 class TestCheckFarkas:
@@ -240,3 +314,46 @@ class TestCheckFarkas:
         system = _fractional_system()
         assert not system.check_farkas(self.VALID[:-1])
         assert not system.check_farkas(self.VALID + (Fraction(0),))
+
+
+@pytest.mark.parametrize("sense, rhs, message", [
+    (EQ, 1, "exact simplex returned a bad point"),
+    (LEQ, -1, "exact simplex returned a bad certificate"),
+])
+def test_failed_integer_check_raises_under_python_O(sense, rhs, message):
+    """The checks behind every exact answer are explicit raises, so running
+    with ``-O`` (which strips ``assert``) keeps them: a point with one
+    numerator off by one, and a certificate with its signs flipped (which
+    turns ``u^T b < 0`` around), are both refused."""
+    import simplegames
+
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from simplegames import _exactlp
+
+        if not sys.flags.optimize:
+            raise SystemExit("expected a run under -O")
+        solve_alternative = _exactlp._solve_alternative
+
+        def corrupted(leq_rows, alt):
+            feasible, nums, den = solve_alternative(leq_rows, alt)
+            nums = [nums[0] + 1, *nums[1:]] if feasible else [-v for v in nums]
+            return feasible, nums, den
+
+        _exactlp._solve_alternative = corrupted
+        system = _exactlp.LinearSystem(1)
+        system.add([1], {sense}, {rhs})
+        system.solve()
+        """
+    )
+    src = Path(simplegames.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert f"AssertionError: {message}" in proc.stderr
