@@ -125,27 +125,28 @@ class LPResult:
 class RowBlock:
     """Leading rows shared by many systems, normalised to ``<=`` form once.
 
-    The dense float copy of the rows and their transposed view for the
-    exact route's alternative are each made on the first solve that needs
-    them, so a solve never pays for the other route's copy.
+    ``width`` is the column count of the systems sharing the rows.  The
+    dense float copy of the rows and their transposed view for the exact
+    route's alternative are each made on the first solve that needs them,
+    so a solve never pays for the other route's copy.
     """
 
-    def __init__(self, rows: list[tuple[Sequence[Fraction | int], int, Fraction | int]]):
+    def __init__(self, rows: list[tuple[Sequence[Fraction | int], int, Fraction | int]], width: int):
         self.rows = rows
+        self.width = width
         self.leq, self.origin = _normalise(rows, 0)
         self._dense = None
         self._alt = None
 
-    def dense(self, np, width: int):
+    def dense(self, np):
         if self._dense is None:
-            self._dense = _dense(np, self.leq, width)
+            self._dense = _dense(np, self.leq, self.width)
         return self._dense
 
-    def alternative(self, width: int) -> tuple[list[list[int]], list[int]]:
-        """:func:`_transpose` of the rows; ``width``, like that of
-        :meth:`dense`, is the column count of the systems sharing them."""
+    def alternative(self) -> tuple[list[list[int]], list[int]]:
+        """:func:`_transpose` of the rows."""
         if self._alt is None:
-            self._alt = _transpose(self.leq, width)
+            self._alt = _transpose(self.leq, self.width)
         return self._alt
 
 
@@ -184,7 +185,7 @@ class LinearSystem:
         """:func:`_transpose` of ``leq``, the block's part taken from its cache."""
         if self.block is None:
             return _transpose(leq, self.num_vars)
-        head_cols, head_rhs = self.block.alternative(self.num_vars)
+        head_cols, head_rhs = self.block.alternative()
         cols, rhs = _transpose(leq[len(self.block.leq):], self.num_vars)
         return [h + t for h, t in zip(head_cols, cols)], head_rhs + rhs
 
@@ -279,7 +280,7 @@ class LinearSystem:
         if self.block is None:
             a_mat, b_vec = _dense(np, leq, self.num_vars)
         else:
-            a_head, b_head = self.block.dense(np, self.num_vars)
+            a_head, b_head = self.block.dense(np)
             a_tail, b_tail = _dense(np, leq[len(self.block.leq):], self.num_vars)
             a_mat, b_vec = np.vstack((a_head, a_tail)), np.concatenate((b_head, b_tail))
         probe = linprog(

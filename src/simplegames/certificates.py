@@ -15,7 +15,7 @@ any length exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import desirability, lpsep
 from .core import (
@@ -36,14 +36,16 @@ class TradingTransform:
     post: tuple[Coalition, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pre", tuple(self.pre))
-        object.__setattr__(self, "post", tuple(self.post))
-        if len(self.pre) != len(self.post):
+        pre, post = self.pre, self.post
+        if type(pre) is not tuple:
+            object.__setattr__(self, "pre", pre := tuple(pre))
+        if type(post) is not tuple:
+            object.__setattr__(self, "post", post := tuple(post))
+        if len(pre) != len(post):
             raise InvalidGameError("pre and post sequences must have equal length")
-        if not self.pre:
+        if not pre:
             raise InvalidGameError("empty trading transform")
-        n = self.pre[0].n
-        if any(c.n != n for c in self.pre + self.post):
+        if len({c.n for c in pre + post}) != 1:
             raise InvalidGameError("all coalitions must share one player universe")
 
     @property
@@ -57,25 +59,46 @@ class TradingTransform:
 
 def verify_trading_transform(tt: TradingTransform) -> bool:
     """Balance check: identical per-player multiplicities on both sides."""
-    counts = [0] * tt.n
-    for c in tt.pre:
-        for i in _bits(c.mask):
-            counts[i] += 1
-    for c in tt.post:
-        for i in _bits(c.mask):
-            counts[i] -= 1
-    return not any(counts)
+    return _bit_planes(c.mask for c in tt.pre) == _bit_planes(c.mask for c in tt.post)
+
+
+def _bit_planes(masks: Iterable[int]) -> list[int]:
+    """Per-player membership counts of ``masks`` in binary, bit-sliced: bit
+    ``p`` of plane ``k`` is bit ``k`` of player ``p``'s count.  Counts only
+    grow, so the planes run exactly up to the largest count's top bit, and
+    two sequences are balanced iff their planes are equal."""
+    planes: list[int] = []
+    for carry in masks:
+        for k, plane in enumerate(planes):  # ripple-carry add of one mask
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
 
 
 def verify_certificate(g: SimpleGame, tt: TradingTransform) -> bool:
     """True iff the transform is balanced with winning pres and losing posts."""
     if tt.n != g.n:
         raise InvalidGameError("transform and game player counts differ")
-    if not verify_trading_transform(tt):
+    pre = [c.mask for c in tt.pre]
+    post = [c.mask for c in tt.post]
+    if _bit_planes(pre) != _bit_planes(post):
         raise InvalidGameError("unbalanced trading transform")
-    return all(g.wins_mask(c.mask) for c in tt.pre) and not any(
-        g.wins_mask(c.mask) for c in tt.post
-    )
+    if g.n > MAX_TABLE_PLAYERS:
+        wins = g.wins_mask
+        return all(map(wins, pre)) and not any(map(wins, post))
+    t = g.table
+    for m in pre:
+        if not t >> m & 1:
+            return False
+    for m in post:
+        if t >> m & 1:
+            return False
+    return True
 
 
 def _canonical(n: int, pre_masks: list[int], post_masks: list[int]) -> TradingTransform:
@@ -188,7 +211,16 @@ def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransf
     bi, bj = 1 << i, 1 << j
     post1 = (win1 ^ bj) | bi
     post2 = (win2 ^ bi) | bj
-    tt = _canonical(g.n, [win1, win2], [post1, post2])
+    # canonical (popcount, mask) order; each post has its pre's popcount
+    c1, c2 = win1.bit_count(), win2.bit_count()
+    if (c1, win1) > (c2, win2):
+        win1, win2 = win2, win1
+    if (c1, post1) > (c2, post2):
+        post1, post2 = post2, post1
+    n = g.n
+    tt = TradingTransform(
+        (Coalition(win1, n), Coalition(win2, n)), (Coalition(post1, n), Coalition(post2, n))
+    )
     if not verify_certificate(g, tt):
         raise AssertionError("incomparability certificate failed verification")
     return tt

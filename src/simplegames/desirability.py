@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     InvalidGameError,
     SimpleGame,
     TableSizeError,
+    _bits,
     _lane,
 )
 
@@ -92,14 +93,22 @@ def incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
 
 
 def _incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
+    """One pass over the player pairs: the first incomparable pair, or None,
+    in which case the class partition built from the same pass is cached."""
     if g._incomparable is False:  # not scanned yet
         t, n = g.table, g.n
-        g._incomparable = None
+        # strict-domination counts separate the classes of a total preorder
+        dominates = [0] * n
         for i, j in itertools.combinations(range(n), 2):
             bad_ij, bad_ji = _violations(t, n, i, j)
             if bad_ij and bad_ji:
                 g._incomparable = (i, j)
                 break
+            if bad_ij or bad_ji:  # strict: the side free of violations dominates
+                dominates[j if bad_ij else i] += 1
+        else:
+            g._incomparable = None
+            g._classes = _class_partition(n, dominates)
     return g._incomparable
 
 
@@ -157,34 +166,25 @@ class ClassPartition:
 
 def equivalence_classes(g: SimpleGame) -> ClassPartition:
     """Class partition of a complete game, most desirable class first."""
-    if g._classes is None:  # cached on the game once found
-        g._classes = _class_partition(g)
-        g._incomparable = None
+    pair = _incomparable_pair(g)  # the scan caches the partition on the game
+    if pair is not None:
+        raise CompletenessError(*pair)
     return g._classes
 
 
-def _class_partition(g: SimpleGame) -> ClassPartition:
-    # strict-domination counts separate the classes of a total preorder
-    t, n = g.table, g.n
-    dominated = [0] * n
-    for i, j in itertools.combinations(range(n), 2):
-        bad_ij, bad_ji = _violations(t, n, i, j)
-        if bad_ij and bad_ji:
-            raise CompletenessError(i, j)
-        if bad_ij or bad_ji:  # strict: the side free of violations dominates
-            dominated[j if bad_ij else i] += 1
-    order = sorted(range(g.n), key=lambda i: (-dominated[i], i))
+def _class_partition(n: int, dominates: list[int]) -> ClassPartition:
+    order = sorted(range(n), key=lambda i: (-dominates[i], i))
     classes: list[list[int]] = []
     for i in order:
-        if classes and dominated[classes[-1][0]] == dominated[i]:
+        if classes and dominates[classes[-1][0]] == dominates[i]:
             classes[-1].append(i)
         else:
             classes.append([i])
-    class_of = [0] * g.n
+    class_of = [0] * n
     for idx, cls in enumerate(classes):
         for p in cls:
             class_of[p] = idx
-    return ClassPartition(g.n, tuple(tuple(sorted(c)) for c in classes), tuple(class_of))
+    return ClassPartition(n, tuple(map(tuple, classes)), tuple(class_of))  # ascending: ties sort by index
 
 
 def _prefix_leq(u: Model, v: Model) -> bool:
@@ -206,20 +206,44 @@ def _model_antichains(
     Models range over ``0..sizes[c]`` members per class and are returned in
     lexicographic order.  A model is minimal winning when removing any one
     member loses, maximal losing when adding any one member wins.
+
+    ``wins`` returns a bool or 0/1.  The statuses form one bitset over the
+    lexicographic model indices, in which a model's neighbour with one more
+    member of class ``c`` sits ``stride_c`` bits higher; each class has a
+    lane of the models with a member of it to remove.
     """
     models = list(itertools.product(*(range(s + 1) for s in sizes)))
-    status = [wins(u) for u in models]
-    strides = [math.prod(s + 1 for s in sizes[c + 1 :]) for c in range(len(sizes))]
-    minimal: list[Model] = []
-    maximal: list[Model] = []
-    for idx, u in enumerate(models):
-        steps = zip(u, sizes, strides)
-        if status[idx]:
-            if not any(status[idx - st] for k, _, st in steps if k > 0):
-                minimal.append(u)
-        elif all(status[idx + st] for k, s, st in steps if k < s):
-            maximal.append(u)
-    return minimal, maximal
+    # binary digits of the status bitset, the last model's first
+    status = int(bytes(map(wins, reversed(models))).translate(_DIGITS), 2)
+    has_lower = upper_loses = 0  # a one-member-smaller model wins; a larger one loses
+    for stride, lane in _model_lanes(tuple(sizes)):
+        has_lower |= status << stride & lane
+        upper_loses |= (lane & ~status) >> stride
+    everything = (1 << len(models)) - 1
+    return (
+        [models[k] for k in _bits(status & ~has_lower)],
+        [models[k] for k in _bits(everything & ~status & ~upper_loses)],
+    )
+
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=256)  # lanes of big model spaces are big ints
+def _model_lanes(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Per class, its stride in the lexicographic model order and the bitset
+    of model indices with at least one member of that class."""
+    total = math.prod(s + 1 for s in sizes)
+    out = []
+    stride = total
+    for s in sizes:
+        period, stride = stride, stride // (s + 1)
+        lane = ((1 << (period - stride)) - 1) << stride  # one period's members
+        while period < total:  # repeat the pattern to cover every index
+            lane |= lane << period
+            period *= 2
+        out.append((stride, lane & ((1 << total) - 1)))
+    return tuple(out)
 
 
 def _class_antichains(g: SimpleGame) -> tuple[list[Model], list[Model]]:

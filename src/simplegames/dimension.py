@@ -188,7 +188,7 @@ class PartOracle:
         # what every part must handle the other way: win W_min when losing
         # subsets of L_max, lose L_max when winning subsets of W_min
         self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
-        self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"))
+        self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"), g.n + 1)
         self._set_memo: dict[frozenset[int], int | None] = {}  # witness index
         self._pair_orbit: dict[int, bool] | None = None
         self._codes: dict[int, int] = {}
@@ -258,7 +258,7 @@ class PartOracle:
         """Index of the witness the LP stores for ``masks``, or None."""
         self.lp_calls += 1
         variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
-        res = _separate(self.n, self._fixed, variable)
+        res = _separate(self._fixed, variable)
         if not res.feasible:
             return None
         *weights, quota = _primitive(res.nums[: self.n + 1])

@@ -150,7 +150,7 @@ def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int])
     for y in lose:
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
-    res = _separate(n, RowBlock(_incidence_rows(win, n, True)), _incidence_rows(lose, n, False))
+    res = _separate(RowBlock(_incidence_rows(win, n, True), n + 1), _incidence_rows(lose, n, False))
     return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
 
 
@@ -166,8 +166,8 @@ def separable_result(
     """
     win = antichain_reduce(win_masks)
     lose = _inclusion_maximal(lose_masks, n)
-    fixed = RowBlock(_incidence_rows(win, n, True))
-    return _separate(n, fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
+    fixed = RowBlock(_incidence_rows(win, n, True), n + 1)
+    return _separate(fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
 
 
 # integral rows stay plain ints, which the LP layer takes alongside Fractions
@@ -183,9 +183,7 @@ def _incidence_rows(masks: Iterable[int], n: int, win: bool) -> list[_Row]:
     return _separation_rows((_incidence(m, n) for m in masks), win)
 
 
-def _separate(
-    width: int, fixed: RowBlock, variable: list[_Row], force_exact: bool = False
-) -> LPResult:
+def _separate(fixed: RowBlock, variable: list[_Row], force_exact: bool = False) -> LPResult:
     """Solve the rows of ``fixed``, then ``variable``, then ``q >= 1``.
 
     A row is ``w.v - q >= 0`` (win side) or ``w.v - q <= -1`` (lose side)
@@ -196,6 +194,7 @@ def _separate(
     first repaired by rounding the weights and setting the quota one above
     the heaviest lose row.
     """
+    width = fixed.width - 1  # weights, then the quota
     q_row = ((0,) * width + (1,), GEQ, 1)
 
     def repair(xf: list[float]) -> tuple[Fraction, ...] | None:
@@ -213,7 +212,7 @@ def _separate(
                 return tuple(w) + (q,)
         return None
 
-    system = LinearSystem(width + 1, fixed.rows + variable + [q_row], fixed)
+    system = LinearSystem(fixed.width, fixed.rows + variable + [q_row], fixed)
     return system.solve(repair=repair, force_exact=force_exact)
 
 
@@ -267,8 +266,8 @@ def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
     """
     win, lose = desirability._class_antichains(g)
     m = len(part.sizes)
-    fixed = RowBlock(_separation_rows(win, True))
-    res = _separate(m, fixed, _separation_rows(lose, False), force_exact=True)
+    fixed = RowBlock(_separation_rows(win, True), m + 1)
+    res = _separate(fixed, _separation_rows(lose, False), force_exact=True)
     if not res.feasible:
         return None
     return _canonical_rep([res.nums[part.class_of[p]] for p in range(g.n)] + [res.nums[m]])

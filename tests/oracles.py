@@ -340,6 +340,34 @@ def oracle_codimension(n: int, table: int, tables: frozenset[int]) -> int:
     return oracle_min_cover(list(patterns), (1 << len(minwin)) - 1)
 
 
+# -- per-model scans ---------------------------------------------------------------
+
+
+def per_model_antichains(sizes, wins):
+    """Minimal winning and maximal losing models of a monotone model
+    predicate, in lexicographic order, by looking at each model's one-member
+    neighbours in a list of statuses."""
+    models = list(itertools.product(*(range(s + 1) for s in sizes)))
+    status = [wins(u) for u in models]
+    strides = [int(np.prod([s + 1 for s in sizes[c + 1 :]])) for c in range(len(sizes))]
+    minimal, maximal = [], []
+    for idx, u in enumerate(models):
+        steps = list(zip(u, sizes, strides))
+        if status[idx]:
+            if not any(status[idx - st] for k, _, st in steps if k > 0):
+                minimal.append(u)
+        elif all(status[idx + st] for k, s, st in steps if k < s):
+            maximal.append(u)
+    return minimal, maximal
+
+
+def per_player_balanced(n: int, pre: list[int], post: list[int]) -> bool:
+    """Equal per-player membership counts, counted one player at a time."""
+    return all(
+        sum(m >> p & 1 for m in pre) == sum(m >> p & 1 for m in post) for p in range(n)
+    )
+
+
 # -- monotone game enumeration ------------------------------------------------------
 
 

@@ -75,6 +75,56 @@ def test_balance_invariant_under_permutations(data):
     assert verify_trading_transform(t) == verify_trading_transform(shuffled)
 
 
+def _transform(n, pre, post):
+    return TradingTransform(tuple(Coalition(m, n) for m in pre), tuple(Coalition(m, n) for m in post))
+
+
+class TestBalanceAgainstPerPlayerCounts:
+    def test_random_transforms_with_repeats(self):
+        rng = random.Random(52)
+        balanced = unbalanced = 0
+        for _ in range(1500):
+            n = rng.randint(1, 8)
+            length = rng.randint(1, 64)
+            pool = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+            pre = [rng.choice(pool) for _ in range(length)]  # repeated coalitions
+            # deal each player's pre count to distinct posts: balanced
+            post = [0] * length
+            for p in range(n):
+                for k in rng.sample(range(length), sum(m >> p & 1 for m in pre)):
+                    post[k] |= 1 << p
+            change = rng.random()
+            if change < 0.25:  # one membership added or dropped
+                post[rng.randrange(length)] ^= 1 << rng.randrange(n)
+            elif change < 0.5 and length > 1:  # two: a count off by two, same parity
+                p = rng.randrange(n)
+                a, b = rng.sample(range(length), 2)
+                if post[a] >> p & 1 == post[b] >> p & 1:
+                    post[a] ^= 1 << p
+                    post[b] ^= 1 << p
+            want = oracles.per_player_balanced(n, pre, post)
+            assert verify_trading_transform(_transform(n, pre, post)) == want
+            balanced += want
+            unbalanced += not want
+        assert balanced > 500 and unbalanced > 500
+
+    def test_equal_and_or_but_unequal_counts(self):
+        rng = random.Random(53)
+        found = 0
+        while found < 200:
+            n = rng.randint(2, 5)
+            pre = [rng.randrange(1 << n) for _ in range(3)]
+            post = [rng.randrange(1 << n) for _ in range(3)]
+            same_and = pre[0] & pre[1] & pre[2] == post[0] & post[1] & post[2]
+            same_or = pre[0] | pre[1] | pre[2] == post[0] | post[1] | post[2]
+            if not (same_and and same_or) or oracles.per_player_balanced(n, pre, post):
+                continue
+            found += 1
+            assert not verify_trading_transform(_transform(n, pre, post))
+        # the smallest case: player 0 twice against once, player 1 once against twice
+        assert not verify_trading_transform(_transform(2, [1, 1, 2], [1, 2, 2]))
+
+
 class TestVerifyCertificate:
     def test_witness_family_certificate(self):
         game, witnesses = losing_witness_family(2, 2)

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -17,7 +20,9 @@ from simplegames import (
     shift_maximal_losing,
     shift_minimal_winning,
 )
-from simplegames.desirability import incomparable_pair
+from simplegames import desirability
+from simplegames.core import SimpleGame
+from simplegames.desirability import ClassPartition, _class_antichains, _model_antichains, incomparable_pair
 
 
 def test_un_permanent_member_strictly_more_desirable(un_council):
@@ -196,3 +201,101 @@ def test_every_minimal_model_dominates_a_shift_minimal_one(h_disj_25, h_conj_444
                         break
                 ok = ok or dominated
             assert ok
+
+
+def _five_player_games():
+    return [SimpleGame._from_table(5, t) for t in oracles.monotone_tables(5)]
+
+
+def _two_pass_partition(g):
+    """Classes of a complete game by sorting the players with the pairwise
+    verdicts, after a first pass that rejects incomplete games; None then."""
+    pairs = itertools.combinations(range(g.n), 2)
+    if any(compare_players(g, i, j) is Outcome.INCOMPARABLE for i, j in pairs):
+        return None
+    rank = {Outcome.STRICTLY_MORE: -1, Outcome.EQUIVALENT: 0, Outcome.STRICTLY_LESS: 1}
+    order = sorted(range(g.n), key=functools.cmp_to_key(lambda i, j: rank[compare_players(g, i, j)]))
+    classes = []
+    for p in order:  # stable sort: equivalent players stay ascending
+        if classes and compare_players(g, classes[-1][0], p) is Outcome.EQUIVALENT:
+            classes[-1].append(p)
+        else:
+            classes.append([p])
+    class_of = [next(c for c, cls in enumerate(classes) if p in cls) for p in range(g.n)]
+    return ClassPartition(g.n, tuple(map(tuple, classes)), tuple(class_of))
+
+
+class TestSingleScan:
+    def test_classes_match_two_pass_reference_on_all_five_player_games(self):
+        complete = 0
+        for g in _five_player_games():
+            want = _two_pass_partition(g)
+            fresh = SimpleGame._from_table(5, g.table)
+            if want is None:
+                with pytest.raises(CompletenessError) as err:
+                    equivalence_classes(g)
+                assert err.value.pair == incomparable_pair(fresh) is not None
+            else:
+                complete += 1
+                assert equivalence_classes(g) == want
+                assert incomparable_pair(fresh) is None
+        assert 0 < complete < 7581
+
+    def test_no_second_scan_after_is_complete(self, monkeypatch):
+        calls = []
+        real = desirability._violations
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(desirability, "_violations", counting)
+        for g in _five_player_games():
+            complete = is_complete(g)
+            assert calls
+            calls.clear()
+            if complete:
+                equivalence_classes(g)
+            else:
+                with pytest.raises(CompletenessError):
+                    equivalence_classes(g)
+            assert calls == []
+
+
+def _upset_predicate(gens):
+    """Monotone: at least one generator model is reached member-wise."""
+    return lambda u: any(all(map(operator.ge, u, v)) for v in gens)
+
+
+def _threshold_predicate(weights, quota):
+    """Monotone: non-negative class weights reach the quota."""
+    return lambda u: sum(map(operator.mul, u, weights)) >= quota
+
+
+class TestModelAntichainsAgainstPerModelScan:
+    def test_random_monotone_predicates(self):
+        rng = random.Random(26)
+        for trial in range(3000):
+            sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 4)))
+            if trial % 2:
+                gens = [tuple(rng.randint(0, s) for s in sizes) for _ in range(rng.randint(0, 4))]
+                wins = _upset_predicate(gens)
+            else:
+                weights = [rng.randint(0, 5) for _ in sizes]
+                wins = _threshold_predicate(weights, rng.randint(0, sum(weights) + 1))
+            assert _model_antichains(sizes, wins) == oracles.per_model_antichains(sizes, wins)
+
+    def test_class_sizes_of_every_complete_five_player_game(self):
+        seen = set()
+        for g in _five_player_games():
+            if not is_complete(g):
+                continue
+            part = equivalence_classes(g)
+            prefixes = [list(itertools.accumulate((1 << p for p in cls), initial=0)) for cls in part.classes]
+            wins = lambda u: g.wins_mask(sum(pre[k] for pre, k in zip(prefixes, u)))
+            want = oracles.per_model_antichains(part.sizes, wins)
+            assert _model_antichains(part.sizes, wins) == want
+            assert _class_antichains(g) == want
+            seen.add(part.sizes)
+        # 14 of the 16 compositions of 5 occur; (2, 1, 1, 1) and (3, 1, 1) do not
+        assert len(seen) == 14

@@ -221,7 +221,20 @@ class TestTrivialGames:
         assert rep == WeightedRep((0,) * n, 1)
         assert oracle._witnesses == [([0] * n, 1)]
         # n weights and the quota: one empty column each
-        assert oracle._fixed.rows == [] and oracle._fixed.alternative(n + 1) == ([[]] * (n + 1), [])
+        assert oracle._fixed.rows == [] and oracle._fixed.alternative() == ([[]] * (n + 1), [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empty_block_read_before_the_first_lp(self, n):
+        # the block carries its own width, so reading its transposed view
+        # first cannot give the oracle's LPs a wrong column count
+        g = make_game(n, [])
+        oracle = PartOracle(g, "lose")
+        assert oracle._fixed.alternative() == ([[]] * (n + 1), [])
+        part = frozenset(maximal_losing_masks(g))
+        rep = oracle.separable_set(part)
+        assert rep == WeightedRep((0,) * n, 1) == PartOracle(g, "lose").separable_set(part)
+        table = threshold_table(rep.weights, rep.quota, n)
+        assert all(not table >> m & 1 for m in part)
 
 
 class TestConjunctiveRep:

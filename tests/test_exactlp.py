@@ -117,7 +117,7 @@ def separation_runs():
         mp.setattr(lpsep, "LinearSystem", Recording)
         mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
         for n, fixed, variable in inputs:
-            res = _separate(n, RowBlock(fixed), variable)
+            res = _separate(RowBlock(fixed, n + 1), variable)
             system = systems[-1]
             runs.append((system, res, system.solve(force_exact=True)))
     return runs
@@ -197,7 +197,7 @@ def test_row_block_normalises_like_the_whole_system():
     rows = _fractional_system().rows + [((Fraction(2, 3), 0), GEQ, Fraction(1, 6))]
     whole = LinearSystem(2, rows)
     for cut in range(len(rows) + 1):
-        split = LinearSystem(2, rows, RowBlock(rows[:cut]))
+        split = LinearSystem(2, rows, RowBlock(rows[:cut], 2))
         assert split._leq_rows() == whole._leq_rows()
         assert split.solve() == whole.solve()
 
