@@ -168,8 +168,21 @@ def complement_reversed_table(t: int, n: int) -> int:
     return int.from_bytes(bytes(rev[b] for b in raw), "big")
 
 
+# Above this many bits, clearing one bit of ``t`` at a time (a pass over the
+# whole int per bit) loses to one pass over its binary digits.
+_BITS_SCAN_ABOVE = 256
+
+
 def _bits(t: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, ascending."""
     out = []
+    if t.bit_length() > _BITS_SCAN_ABOVE:
+        digits = format(t, "b")[::-1]  # least significant first
+        k = digits.find("1")
+        while k >= 0:
+            out.append(k)
+            k = digits.find("1", k + 1)
+        return out
     while t:
         low = t & -t
         out.append(low.bit_length() - 1)
@@ -187,7 +200,7 @@ class SimpleGame:
     truth table is materialised lazily and only for ``n <= MAX_TABLE_PLAYERS``.
     """
 
-    __slots__ = ("n", "_minwin", "_table", "_incomparable", "_classes", "_weighted")
+    __slots__ = ("n", "_minwin", "_table", "_incomparable", "_swap_witness", "_classes", "_weighted")
 
     def __init__(self, n: int, _minwin: tuple[int, ...] | None, _table: int | None = None):
         self.n = n
@@ -195,6 +208,7 @@ class SimpleGame:
         self._table = _table
         # lazy caches; False = not computed yet where None is a value
         self._incomparable = False  # first incomparable player pair, or None
+        self._swap_witness = None  # that pair's incomparability witness
         self._classes = None  # equivalence classes of a complete game
         self._weighted = False  # weighted representation, or None
 

@@ -103,6 +103,7 @@ def _incomparable_pair(g: SimpleGame) -> tuple[int, int] | None:
             bad_ij, bad_ji = _violations(t, n, i, j)
             if bad_ij and bad_ji:
                 g._incomparable = (i, j)
+                g._swap_witness = _swap_witness(bad_ij, bad_ji, i, j)
                 break
             if bad_ij or bad_ji:  # strict: the side free of violations dominates
                 dominates[j if bad_ij else i] += 1
@@ -117,15 +118,21 @@ def incomparability_witness(g: SimpleGame, i: int, j: int) -> tuple[int, int] | 
 
     Returns a pair where X+{i} wins while X+{j} loses, combined with
     Y+{j} winning while Y+{i} loses (encoded as the two winning masks).
+    The pair found by the completeness scan keeps the witness of that scan.
     """
+    if g._incomparable == (i, j):
+        return g._swap_witness
     bad_ij, bad_ji = _violations(g.table, g.n, i, j)
     if not bad_ij or not bad_ji:
         return None
+    return _swap_witness(bad_ij, bad_ji, i, j)
+
+
+def _swap_witness(bad_ij: int, bad_ji: int, i: int, j: int) -> tuple[int, int]:
+    """The two winning masks of the lowest violation in each direction."""
     x_i = (bad_ij & -bad_ij).bit_length() - 1  # X|{i} loses -> X|{j} wins
     y_j = (bad_ji & -bad_ji).bit_length() - 1
-    win1 = x_i - (1 << i) + (1 << j)
-    win2 = y_j - (1 << j) + (1 << i)
-    return (win1, win2)
+    return x_i - (1 << i) + (1 << j), y_j - (1 << j) + (1 << i)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ of S.  (Each part of an intersection must win all of W; every maximal losing
 coalition must lose in some part; with nonnegative weights a part that loses
 S also loses everything below S; conversely the witnesses of a cover
 intersect back to the game.)  Dimension is therefore a minimum set cover
-with an exact LP feasibility oracle:
+with an exact feasibility oracle.  After its caches, the oracle tries a
+closed-form witness, the sum of the one-coalition parts of the queried set
+checked in integers against the other side of the game, and runs the exact
+LP only when that fails:
 
 * lower bounds: a clique of pairwise-inseparable maximal losing coalitions
   (no part can lose two inseparable ones), plus an odd-cycle test on the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Literal
+from typing import Collection, Literal
 
 from . import desirability
 from ._exactlp import RowBlock
@@ -117,11 +120,36 @@ def _one_part_report(part: WeightedRep, note: str) -> DimensionReport:
     return DimensionReport(part.n, 0, 1, 1, 1, (), IntersectionRep(part.n, (part,)), (note,))
 
 
-def _single_loss_part(g: SimpleGame, lose_mask: int) -> WeightedRep:
-    """Closed-form part winning all of W and losing one coalition: unit
-    weights off the coalition, quota one."""
-    weights = tuple(Fraction(0 if lose_mask >> i & 1 else 1) for i in range(g.n))
-    return WeightedRep(weights, Fraction(1))
+def _summed_part(
+    masks: Collection[int], n: int, lose: bool, fixed: Collection[int] = ()
+) -> tuple[list[int], int] | None:
+    """Sum of the one-coalition parts of ``masks``, as integer weights and
+    quota, if it wins (``lose``) or loses (win) every coalition of ``fixed``.
+
+    The part of one coalition s gives unit weight to the players off s
+    (``lose``) or on s (win).  Summed, player i weighs the number of
+    coalitions of ``masks`` it is off (on), so a coalition X weighs the sum
+    over s of ``popcount(X & ~s)`` (``popcount(X & s)``).  The quota is one
+    above the heaviest coalition of ``masks`` (``lose``) or the weight of
+    the lightest (win, where it must be at least one), so the sum loses
+    (wins) every coalition of ``masks``.  For one coalition in ``lose`` mode
+    this is the unit weights off it with quota one, which wins every
+    coalition that is not inside it.
+    """
+    full = (1 << n) - 1
+    cols = [full ^ s for s in masks] if lose else list(masks)
+    sums = [sum([(s & c).bit_count() for c in cols]) for s in masks]
+    quota = max(sums) + 1 if lose else min(sums)
+    if quota < 1:
+        return None
+    for m in fixed:
+        if (sum([(m & c).bit_count() for c in cols]) < quota) == lose:
+            return None
+    weights = [0] * n
+    for c in cols:
+        for i in _bits(c):
+            weights[i] += 1
+    return weights, quota
 
 
 def upper_bound_lmax(g: SimpleGame) -> tuple[int, IntersectionRep]:
@@ -133,7 +161,7 @@ def upper_bound_lmax(g: SimpleGame) -> tuple[int, IntersectionRep]:
     maxlose = maximal_losing_masks(g)
     if not maxlose:
         return 1, IntersectionRep(g.n, (_trivial_all_win_rep(g.n),))
-    parts = tuple(_single_loss_part(g, y) for y in maxlose)
+    parts = tuple(WeightedRep(*_summed_part((y,), g.n, True)) for y in maxlose)
     return len(maxlose), IntersectionRep(g.n, parts)
 
 
@@ -152,24 +180,27 @@ class PartOracle:
 
     Queries run through (in order): the orbit cache keyed by class-count
     profiles (pairs only), the capped length-2 swap scan of ``certificates``
-    (pairs only), previously found witnesses, and finally the exact
-    separation LP of ``lpsep``.  The game's side of that LP is built once,
-    here (its integer ``<=`` rows at construction, their float copy on the
-    first float solve, their transposed view on the first exact solve), so
-    an LP normalises and transposes only the queried coalitions.  Every
-    feasible verdict stores its witness.
+    (pairs only), previously found witnesses, the closed form (the sum of
+    the queried coalitions' one-coalition parts, ``_summed_part``, kept if
+    an integer weight sum per coalition of the fixed side accepts it), and
+    finally the exact separation LP of ``lpsep``.  The game's side of that
+    LP is built once, here (its integer ``<=`` rows at construction, their
+    float copy on the first float solve, their transposed view on the first
+    exact solve), so an LP normalises and transposes only the queried
+    coalitions.  Every witness found, by the closed form or an LP, is
+    stored; ``lp_calls`` counts the LPs alone.
 
-    Witnesses are kept as integers: the LP's integer point divided by its
-    gcd gives the same coprime weights and quota as ``lpsep``'s canonical
-    form.  The set memo holds witness indices; a :class:`WeightedRep` is
-    built only when a witness is handed out, by ``separable_set`` or for a
-    block of the greedy cover.
+    Witnesses are kept as integers: the LP's integer point, or the closed
+    form, divided by its gcd gives coprime weights and quota (for an LP the
+    same as ``lpsep``'s canonical form).  The set memo holds witness
+    indices; a :class:`WeightedRep` is built only when a witness is handed
+    out, by ``separable_set`` or for a block of the greedy cover.
 
     Stored witnesses are indexed per coalition: each queried coalition keeps
     an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
     win it in ``win`` mode), filled with one integer weight sum per witness
-    when the coalition is first queried and extended whenever an LP stores a
-    new witness.  A set is handled by the witnesses in the AND of its
+    when the coalition is first queried and extended whenever a new witness
+    is stored.  A set is handled by the witnesses in the AND of its
     members' bitsets; the lowest set bit is the first witness stored that
     handles it.  The cover search keeps that AND per block (``_join``), so
     trying one more coalition in a block costs one AND.
@@ -254,6 +285,24 @@ class PartOracle:
             rep = self._reps[k] = WeightedRep(tuple(weights), quota)
         return rep
 
+    def _store(self, weights: list[int], quota: int) -> int:
+        """Store a witness given in coprime integers; return its index."""
+        k = len(self._witnesses)
+        self._witnesses.append((weights, quota))
+        for m, handled in self._handled_by.items():
+            if self._handles(weights, quota, self._members[m]):
+                self._handled_by[m] = handled | 1 << k
+        return k
+
+    def _closed_form(self, masks: Collection[int]) -> tuple[list[int], int] | None:
+        """The sum of the one-coalition parts of ``masks`` in coprime form,
+        if it handles no coalition of the fixed side, else None."""
+        found = _summed_part(masks, self.n, self.mode == "lose", self._fixed_masks)
+        if found is None:
+            return None
+        *weights, quota = _primitive(found[0] + [found[1]])
+        return weights, quota
+
     def _lp(self, masks: frozenset[int]) -> int | None:
         """Index of the witness the LP stores for ``masks``, or None."""
         self.lp_calls += 1
@@ -262,18 +311,19 @@ class PartOracle:
         if not res.feasible:
             return None
         *weights, quota = _primitive(res.nums[: self.n + 1])
-        k = len(self._witnesses)
-        self._witnesses.append((weights, quota))
-        for m, handled in self._handled_by.items():
-            if self._handles(weights, quota, self._members[m]):
-                self._handled_by[m] = handled | 1 << k
-        return k
+        return self._store(weights, quota)
 
-    def _index(self, masks) -> int | None:
+    def _index(self, masks: Collection[int]) -> int | None:
         """Index of the first stored witness handling every coalition of
-        ``masks``, else of the one the LP stores, or None if inseparable."""
+        ``masks``, else of the closed-form or LP witness stored for them, or
+        None if inseparable."""
         common = self._common(masks)
-        return _lowest(common) if common else self._lp(frozenset(masks))
+        if common:
+            return _lowest(common)
+        found = self._closed_form(masks)
+        if found is not None:
+            return self._store(*found)
+        return self._lp(frozenset(masks))
 
     # -- queries -------------------------------------------------------------
 
@@ -314,9 +364,9 @@ class PartOracle:
         miss witnesses stored since it was taken; those sit above all of its
         bits, so a nonzero AND with ``mask``'s bitset still starts at the
         first stored witness handling the whole set.  Only when that AND is
-        0 does the full ``separable_set`` (memo, stored witnesses, LP) run;
-        a witness it finds handles every member, so its bit is in the
-        recomputed AND.
+        0 does the full ``separable_set`` (memo, stored witnesses, closed
+        form, LP) run; a witness it finds handles every member, so its bit
+        is in the recomputed AND.
         """
         common &= self._handled(mask)
         if common:

@@ -17,7 +17,9 @@ from simplegames import (
     maximal_losing,
     veto_players,
 )
+from simplegames import core
 from simplegames.core import maximal_losing_masks
+from simplegames.lpsep import threshold_table
 
 
 def coalitions(masks, n):
@@ -224,3 +226,27 @@ class TestVetoDummy:
         g = make_game(4, [Coalition.of([0, 1], 4)])
         assert dummy_players(g) == (2, 3)
         assert veto_players(g) == (0, 1)
+
+
+def _bits_reference(t):
+    """Set-bit positions of ``t`` read byte by byte, ascending."""
+    data = t.to_bytes((t.bit_length() + 7) // 8, "little")
+    return [8 * b + k for b, byte in enumerate(data) for k in range(8) if byte >> k & 1]
+
+
+class TestBits:
+    """``_bits`` clears one bit at a time up to ``_BITS_SCAN_ABOVE`` bits and
+    scans the binary digits above; each path alone must match the reference."""
+
+    @pytest.mark.parametrize("scan_above", [None, -1, float("inf")])  # as shipped, scan all, loop all
+    def test_paths_match_reference(self, scan_above, monkeypatch):
+        if scan_above is not None:
+            monkeypatch.setattr(core, "_BITS_SCAN_ABOVE", scan_above)
+        rng = random.Random(78)
+        ints = [0, 1, 1 << 255, 1 << 256, 1 << 5000, (1 << 257) - 1]
+        for size in (1, 8, 63, 64, 65, 255, 256, 257, 1000, 5000):
+            ints += [rng.getrandbits(size) for _ in range(5)]
+            ints += [sum(1 << rng.randrange(size) for _ in range(3)) for _ in range(5)]  # sparse
+        ints.append(threshold_table((1,) * 18, 9, 18))  # the 18-player majority game
+        for t in ints:
+            assert core._bits(t) == _bits_reference(t)

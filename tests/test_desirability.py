@@ -20,9 +20,15 @@ from simplegames import (
     shift_maximal_losing,
     shift_minimal_winning,
 )
-from simplegames import desirability
+from simplegames import certificates, desirability
 from simplegames.core import SimpleGame
-from simplegames.desirability import ClassPartition, _class_antichains, _model_antichains, incomparable_pair
+from simplegames.desirability import (
+    ClassPartition,
+    _class_antichains,
+    _model_antichains,
+    incomparability_witness,
+    incomparable_pair,
+)
 
 
 def test_un_permanent_member_strictly_more_desirable(un_council):
@@ -260,6 +266,55 @@ class TestSingleScan:
                 with pytest.raises(CompletenessError):
                     equivalence_classes(g)
             assert calls == []
+
+
+def _reference_witness(g, i, j):
+    """``incomparability_witness`` by brute force: the least X avoiding i
+    and j with X|{j} winning and X|{i} losing, and the least Y the other
+    way round, as the winning masks (X|{j}, Y|{i})."""
+    others = [x for x in range(1 << g.n) if not x & (1 << i | 1 << j)]
+    win1 = next((x | 1 << j for x in others if g.wins_mask(x | 1 << j) and not g.wins_mask(x | 1 << i)), None)
+    win2 = next((y | 1 << i for y in others if g.wins_mask(y | 1 << i) and not g.wins_mask(y | 1 << j)), None)
+    return None if win1 is None or win2 is None else (win1, win2)
+
+
+class TestWitnessFromTheScan:
+    """The completeness scan keeps the swap witness of the pair it stops
+    at; ``incomparability_witness`` answers every pair as before."""
+
+    def test_every_pair_before_and_after_the_scan(self):
+        for g in _five_player_games():
+            pairs = list(itertools.permutations(range(5), 2))
+            want = [_reference_witness(g, i, j) for i, j in pairs]
+            assert [incomparability_witness(g, i, j) for i, j in pairs] == want
+            is_complete(g)
+            assert [incomparability_witness(g, i, j) for i, j in pairs] == want
+
+    def test_certificate_reads_the_scan(self, monkeypatch):
+        calls = []
+        real = desirability._violations
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        incomparable = 0
+        for table in oracles.monotone_tables(5):
+            # reference: the certificate built from the brute-force witness
+            with monkeypatch.context() as m:
+                m.setattr(desirability, "incomparability_witness", _reference_witness)
+                want = certificates.find_certificate(SimpleGame._from_table(5, table))
+            g = SimpleGame._from_table(5, table)
+            pair = incomparable_pair(g)
+            with monkeypatch.context() as m:
+                m.setattr(desirability, "_violations", counting)
+                calls.clear()
+                got = certificates.find_certificate(g)
+            assert got == want
+            if pair is not None:
+                incomparable += 1
+                assert calls == []  # the certificate re-ran no scan
+        assert incomparable > 0
 
 
 def _upset_predicate(gens):

@@ -224,6 +224,16 @@ class TestTrivialGames:
         assert oracle._fixed.rows == [] and oracle._fixed.alternative() == ([[]] * (n + 1), [])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_win_mode_on_the_all_winning_game(self, n, monkeypatch):
+        # the closed form of the empty coalition has quota 0, which the LP's
+        # normalisation q >= 1 excludes: both routes give the LP's verdict
+        g = make_game(n, [Coalition.of([], n)])
+        empty = frozenset((0,))
+        assert PartOracle(g, "win").separable_set(empty) is None
+        monkeypatch.setattr(PartOracle, "_closed_form", lambda self, masks: None)
+        assert PartOracle(g, "win").separable_set(empty) is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_empty_block_read_before_the_first_lp(self, n):
         # the block carries its own width, so reading its transposed view
         # first cannot give the oracle's LPs a wrong column count
@@ -361,24 +371,49 @@ def _fraction_canonical(x) -> list[int]:
     return [v // g for v in ints]
 
 
+def _summed_part_reference(masks, n, mode) -> list[int]:
+    """Reference closed form, player by player: weight i is the number of
+    coalitions of ``masks`` without i (``lose``) or with i (``win``); the
+    quota is one above the heaviest coalition of ``masks`` (``lose``) or the
+    lightest one's weight (``win``); weights then quota, in coprime form."""
+    members = [[i for i in range(n) if m >> i & 1] for m in masks]
+    inside = [sum(i in mem for mem in members) for i in range(n)]
+    weights = [len(members) - c for c in inside] if mode == "lose" else inside
+    sums = [sum(weights[i] for i in mem) for mem in members]
+    quota = max(sums) + 1 if mode == "lose" else min(sums)
+    g = math.gcd(*weights, quota)
+    return [w // g for w in weights] + [quota // g]
+
+
 def test_oracle_witnesses_match_the_fraction_point(monkeypatch):
-    """Each witness an oracle stores is its LP's Fraction point in canonical
-    form, kept as integers; the WeightedReps built from them when handed out
-    are the same canonical form."""
-    results = []
+    """Each witness an oracle stores is, in canonical form kept as integers,
+    either its LP's Fraction point or, where the closed form answered before
+    the LP, the sum of the queried set's one-coalition parts; the
+    WeightedReps built from them when handed out are the same canonical
+    form."""
+    events = []  # in the order the oracle stores its witnesses
     real_separate = dimension._separate
+    real_closed_form = PartOracle._closed_form
 
     def recording(*args, **kwargs):
         res = real_separate(*args, **kwargs)
-        results.append(res)
+        if res.feasible:
+            events.append(("lp", res))
         return res
 
+    def recording_closed_form(self, masks):
+        found = real_closed_form(self, masks)
+        if found is not None:
+            events.append(("closed", frozenset(masks)))
+        return found
+
     monkeypatch.setattr(dimension, "_separate", recording)
+    monkeypatch.setattr(PartOracle, "_closed_form", recording_closed_form)
     rng = random.Random(73)
-    stored = 0
+    stored = {"lp": 0, "closed": 0}
     for g in _cache_test_games(rng):
         for mode in ("lose", "win"):
-            results.clear()
+            events.clear()
             oracle = PartOracle(g, mode)
             verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
             handed = []
@@ -386,17 +421,19 @@ def test_oracle_witnesses_match_the_fraction_point(monkeypatch):
                 oracle.pair_compatible(a, b)
             for q in rng.sample(list(combinations(verts, 3)), min(10, math.comb(len(verts), 3))):
                 handed.append(oracle.separable_set(frozenset(q)))
-            feasible = [res for res in results if res.feasible]
-            assert len(oracle._witnesses) == len(feasible)
-            for k, res in enumerate(feasible):
-                want = _fraction_canonical(res.x[: g.n + 1])
+            assert len(oracle._witnesses) == len(events)
+            for k, (source, got) in enumerate(events):
                 weights, quota = oracle._witnesses[k]
+                if source == "lp":
+                    want = _fraction_canonical(got.x[: g.n + 1])
+                    assert oracle._rep(k) == _canonical_rep(got.nums[: g.n + 1])
+                else:
+                    want = _summed_part_reference(got, g.n, mode)
                 assert weights + [quota] == want
-                rep = WeightedRep(tuple(want[:-1]), want[-1])
-                assert oracle._rep(k) == rep == _canonical_rep(res.nums[: g.n + 1])
-            assert set(handed) - {None} <= {oracle._rep(k) for k in range(len(feasible))}
-            stored += len(feasible)
-    assert stored > 0
+                assert oracle._rep(k) == WeightedRep(tuple(want[:-1]), want[-1])
+                stored[source] += 1
+            assert set(handed) - {None} <= {oracle._rep(k) for k in range(len(events))}
+    assert stored["lp"] > 0 and stored["closed"] > 0
 
 
 def _cache_test_games(rng):
@@ -525,9 +562,9 @@ def test_lp_counts_stay_bounded(monkeypatch):
     monkeypatch.setattr(PartOracle, "_lp", counting)
     budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
     games = {
-        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 33),
-        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 24),
-        "fam32": (losing_witness_family(3, 2)[0], 3, 111),
+        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 27),
+        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 13),
+        "fam32": (losing_witness_family(3, 2)[0], 3, 103),
     }
     for name, (g, exact, bound) in games.items():
         calls.clear()
@@ -554,3 +591,81 @@ def test_float_pass_changes_no_dimension(monkeypatch):
         before = with_float[name]
         assert (exact_only.lower, exact_only.upper, exact_only.exact) == (
             before.lower, before.upper, before.exact), name
+
+
+def _handles_exactly(weights, quota, mask, mode) -> bool:
+    """Integer test: the part loses ``mask`` (``lose``) or wins it (``win``)."""
+    total = sum(w for i, w in enumerate(weights) if mask >> i & 1)
+    return (total < quota) == (mode == "lose")
+
+
+def test_closed_form_changes_no_verdict(monkeypatch):
+    """The closed-form witness before the LP only saves LPs: with it off,
+    the pair graphs and the ``lower``/``upper``/``exact`` of both cover
+    directions are the same, on the cache-test games and the benchmark's
+    hard games; and every closed-form witness handles its set and none of
+    the fixed side, checked exactly."""
+    found = []
+    real_closed_form = PartOracle._closed_form
+
+    def recording(self, masks):
+        witness = real_closed_form(self, masks)
+        if witness is not None:
+            found.append((self, frozenset(masks), witness))
+        return witness
+
+    budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
+    hard = [
+        build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))),
+        build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))),
+        losing_witness_family(3, 2)[0],
+    ]
+    small = _cache_test_games(random.Random(76))
+    lp_calls = []
+    real_lp = PartOracle._lp
+
+    def counting(self, masks):
+        lp_calls.append(masks)
+        return real_lp(self, masks)
+
+    monkeypatch.setattr(PartOracle, "_lp", counting)
+
+    def run():
+        out = []
+        for g in small:
+            for mode in ("lose", "win"):
+                verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+                out.append(_graph_on(verts, PartOracle(g, mode)))
+            out.extend((r.lower, r.upper, r.exact) for r in (exact_dimension(g), codimension_direct(g)))
+        for g in hard:
+            out.append(_graph_on(maximal_losing_masks(g), PartOracle(g, "lose")))
+            r = exact_dimension(g, budget)
+            out.append((r.lower, r.upper, r.exact))
+        return out
+
+    monkeypatch.setattr(PartOracle, "_closed_form", recording)
+    with_closed_form = run()
+    lps_on = len(lp_calls)
+    assert found
+    for oracle, masks, (weights, quota) in found:
+        assert quota >= 1 and math.gcd(*weights, quota) == 1
+        assert all(_handles_exactly(weights, quota, m, oracle.mode) for m in masks)
+        assert not any(_handles_exactly(weights, quota, m, oracle.mode) for m in oracle._fixed_masks)
+    lp_calls.clear()
+    monkeypatch.setattr(PartOracle, "_closed_form", lambda self, masks: None)
+    assert run() == with_closed_form
+    assert len(lp_calls) > lps_on
+
+
+def test_single_coalitions_need_no_lp():
+    """A set of one coalition is always separable, by the closed form."""
+    for g in _cache_test_games(random.Random(77)):
+        for mode in ("lose", "win"):
+            verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+            shared = PartOracle(g, mode)
+            for v in verts:
+                fresh = PartOracle(g, mode)
+                for oracle in (fresh, shared):
+                    rep = oracle.separable_set(frozenset((v,)))
+                    assert rep is not None and rep.wins_mask(v) == (mode == "win")
+                    assert oracle.lp_calls == 0
