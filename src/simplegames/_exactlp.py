@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import mul as _mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 LEQ, EQ, GEQ = -1, 0, 1
 
@@ -233,14 +233,10 @@ class LinearSystem:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(
-        self,
-        repair: Callable[[list[float]], tuple[Fraction, ...] | None] | None = None,
-        force_exact: bool = False,
-    ) -> LPResult:
+    def solve(self, *, force_exact: bool = False) -> LPResult:
         leq, origin = self._leq_rows()
         if not force_exact and _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
-            res = self._solve_float(leq, origin, repair)
+            res = self._solve_float(leq, origin)
             if res is not None:
                 return res
         feasible, nums, den = _solve_alternative(leq, self._alternative(leq))
@@ -271,7 +267,7 @@ class LinearSystem:
                 seen_first.add(idx)
         return folded
 
-    def _solve_float(self, leq, origin, repair) -> LPResult | None:
+    def _solve_float(self, leq, origin) -> LPResult | None:
         try:
             import numpy as np
             from scipy.optimize import linprog
@@ -288,15 +284,8 @@ class LinearSystem:
             bounds=(0, None), method="highs",
         )
         if probe.status == 0:
-            cands = []
-            if repair is not None:
-                fixed = repair(list(probe.x))
-                if fixed is not None:
-                    cands.append(fixed)
             for denom in _DENOM_LADDER:
-                cands.append(tuple(Fraction(v).limit_denominator(denom) for v in probe.x))
-            for x in cands:
-                nums, den = _over_one_den(x)
+                nums, den = _over_one_den([Fraction(v).limit_denominator(denom) for v in probe.x])
                 if self.check_point(nums, den):
                     return LPResult(True, nums, den, exact_path=False)
             return None

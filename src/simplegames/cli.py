@@ -562,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = sub.add_parser("dimension", help="dimension bounds and exact value")
     _add_source_options(p_dim)
-    p_dim.add_argument("--exact", action="store_true", help="accepted for compatibility; exact is the default")
     p_dim.add_argument("--budget", type=int, default=dimension.Budget.max_lmax, help="max |L_max| for the exact search")
     p_dim.add_argument("--lower-only", action="store_true", help="only the clique lower bound")
     p_dim.add_argument("--json", action="store_true", help="machine-readable output")

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 from .core import (
     MAX_TABLE_PLAYERS,
-    Coalition,
     InvalidGameError,
     SimpleGame,
     TableSizeError,
@@ -150,25 +149,6 @@ class ClassPartition:
     @cached_property
     def _class_masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << p for p in cls) for cls in self.classes)
-
-    def model_of_mask(self, mask: int) -> Model:
-        return tuple((mask & cm).bit_count() for cm in self._class_masks)
-
-    def model_of(self, x: Coalition) -> Model:
-        return self.model_of_mask(x.mask)
-
-    def representative_mask(self, model: Model) -> int:
-        """Canonical coalition realising a model: lowest players per class."""
-        mask = 0
-        for cls, count in zip(self.classes, model):
-            if not 0 <= count <= len(cls):
-                raise InvalidGameError(f"model {model} exceeds class sizes {self.sizes}")
-            for p in cls[:count]:
-                mask |= 1 << p
-        return mask
-
-    def models(self):
-        return itertools.product(*(range(s + 1) for s in self.sizes))
 
 
 def equivalence_classes(g: SimpleGame) -> ClassPartition:

@@ -33,13 +33,12 @@ on the class-count profiles of the two coalitions and of their intersection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Collection, Literal
 
 from . import desirability
-from ._exactlp import RowBlock
+from ._exactlp import RowBlock, _over_one_den
 from .certificates import _swap_split
 from .core import (
     MAX_TABLE_PLAYERS,
@@ -614,18 +613,12 @@ def _check_cover(
     decide every coalition, so the check equals comparing truth tables.
     """
     lose = mode == "lose"
-    ints = []
-    for p in parts:
-        denom = math.lcm(p.quota.denominator, *(w.denominator for w in p.weights))
-        ints.append((
-            [w.numerator * (denom // w.denominator) for w in p.weights],
-            p.quota.numerator * (denom // p.quota.denominator),
-        ))
+    ints = [_over_one_den((*p.weights, p.quota))[0] for p in parts]  # weights, then the quota
 
     def all_parts_handle(mask: int) -> bool:
         # every part wins ``mask`` in lose mode, loses it in win mode
         members = _bits(mask)
-        return all((sum([w[i] for i in members]) >= q) == lose for w, q in ints)
+        return all((sum([nums[i] for i in members]) >= nums[-1]) == lose for nums in ints)
 
     if not all(map(all_parts_handle, fixed)) or any(map(all_parts_handle, verts)):
         raise AssertionError(f"{mode} cover witness failed verification")

@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import desirability
-from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult, RowBlock
+from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult, RowBlock, _over_one_den
 from .core import (
     MAX_TABLE_PLAYERS,
     Coalition,
@@ -190,30 +189,11 @@ def _separate(fixed: RowBlock, variable: list[_Row], force_exact: bool = False) 
     for an integer vector v: 0/1 player incidences or member counts per
     class.  ``fixed`` is the game's side, normalised once as a
     :class:`RowBlock`; callers asking many questions of one game build it
-    once and pass only the queried rows as ``variable``.  A float answer is
-    first repaired by rounding the weights and setting the quota one above
-    the heaviest lose row.
+    once and pass only the queried rows as ``variable``.
     """
-    width = fixed.width - 1  # weights, then the quota
-    q_row = ((0,) * width + (1,), GEQ, 1)
-
-    def repair(xf: list[float]) -> tuple[Fraction, ...] | None:
-        # row sums are taken in integers over the weights' common denominator;
-        # map stops at the weights, before each row's quota coefficient
-        rows = fixed.rows + variable
-        for denom in (1, 16, 10**4, 10**8):
-            w = [Fraction(v).limit_denominator(denom) for v in xf[:width]]
-            scale = math.lcm(*(wi.denominator for wi in w))
-            w_int = [wi.numerator * (scale // wi.denominator) for wi in w]
-            lo = max((sum(map(mul, a, w_int)) for a, sense, _ in rows if sense == LEQ), default=0)
-            hi = min((sum(map(mul, a, w_int)) for a, sense, _ in rows if sense == GEQ), default=None)
-            q = max(Fraction(lo, scale) + 1, Fraction(1))
-            if hi is None or q <= Fraction(hi, scale):
-                return tuple(w) + (q,)
-        return None
-
+    q_row = ((0,) * (fixed.width - 1) + (1,), GEQ, 1)  # weights, then the quota
     system = LinearSystem(fixed.width, fixed.rows + variable + [q_row], fixed)
-    return system.solve(repair=repair, force_exact=force_exact)
+    return system.solve(force_exact=force_exact)
 
 
 def _incidence(mask: int, n: int) -> list[int]:
@@ -340,9 +320,7 @@ def threshold_table(weights: Sequence[Fraction], quota: Fraction, n: int) -> int
     (table-gated before any of the 2^n sums is formed)."""
     if n > MAX_TABLE_PLAYERS:
         raise TableSizeError(f"truth table gated at n <= {MAX_TABLE_PLAYERS} players")
-    denom = math.lcm(Fraction(quota).denominator, *(Fraction(w).denominator for w in weights))
-    w_int = [int(Fraction(w) * denom) for w in weights]
-    q_int = int(Fraction(quota) * denom)
+    *w_int, q_int = _over_one_den([Fraction(v) for v in (*weights, quota)])[0]
     sums = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask

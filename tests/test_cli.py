@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -116,11 +118,14 @@ class TestAnalyzeCommand:
 
 class TestDimensionCommand:
     def test_exact_two(self, capsys):
-        rc = main(["dimension", "--hier", "disj", "--n", "2,4", "--k", "2,4", "--exact"])
+        rc = main(["dimension", "--hier", "disj", "--n", "2,4", "--k", "2,4"])
         assert rc == EXIT_OK
         out = capsys.readouterr().out
         assert "exact: 2" in out
         assert "lower: 2" in out
+
+    def test_exact_flag_is_gone(self, capsys):
+        assert main(["dimension", "--hier", "disj", "--n", "2,4", "--k", "2,4", "--exact"]) == EXIT_USAGE
 
     def test_weighted_game_dimension_one(self, capsys):
         rc = main(["dimension", "--hier", "disj", "--n", "2,3", "--k", "2,3"])
@@ -209,3 +214,17 @@ def test_unreadable_game_file_exits_usage(tmp_path, capsys):
     assert main(["analyze", "--game", str(tmp_path)]) == EXIT_USAGE
     assert main(["analyze", "--game", str(binary)]) == EXIT_USAGE
     assert capsys.readouterr().err.count("cannot read game file") == 2
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every command in the README's "Command line" block exits 0; the
+    block after it is the game file that one of them reads."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    commands, game_file = section.split("```")[1::2][:2]  # the first two fenced blocks
+    (tmp_path / "council.game").write_text(game_file.lstrip("\n"))
+    monkeypatch.chdir(tmp_path)
+    lines = commands.strip().splitlines()
+    assert lines and all(line.startswith("simplegames ") for line in lines)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == EXIT_OK, line
