@@ -17,8 +17,10 @@ numerators over one positive denominator, and both checks read that form.
 :class:`LPResult` builds its ``Fraction`` view (``x`` or ``farkas``) only
 when someone reads it.
 
-Internally every system is normalised to ``A x <= b`` rows (equalities are
-split).  A Farkas certificate is then ``u >= 0`` with ``u^T A >= 0``
+Rows are integer ``<=`` or ``>=`` rows; :meth:`LinearSystem.add` turns an
+equality into that pair.  Internally a ``>=`` row is negated into ``<=``
+form, so every ``A x <= b`` row is one original row.  A Farkas certificate
+is then ``u >= 0``, one multiplier per row, with ``u^T A >= 0``
 componentwise and ``u^T b < 0``: for any ``x >= 0`` it forces
 ``0 <= (u^T A) x = u^T(Ax) <= u^T b < 0``.
 
@@ -42,43 +44,34 @@ _EXACT_SIZE_LIMIT = 6_000  # exact tableau cells below this: skip the float pass
 _FLOAT_TOL = 1e-9
 _DENOM_LADDER = (10**4, 10**8, 10**12)
 
-_IntRow = tuple[Sequence[int], int, int]  # a <= row times its scale, and the scale
-_INT_ONLY = frozenset((int,))
+_Row = tuple[Sequence[int], int, int]  # coefficients, sense (LEQ or GEQ), rhs
+_IntRow = tuple[Sequence[int], int]  # a <= row: coefficients, rhs
 
 
-def _normalise(rows, start: int) -> tuple[list[_IntRow], list[int]]:
-    """``rows`` in <= form as integer rows, with each one's original index
-    (``start`` plus its position)."""
+def _normalise(rows: Sequence[_Row]) -> list[_IntRow]:
+    """``rows`` in <= form: a GEQ row negated."""
     out: list[_IntRow] = []
-    origin: list[int] = []
-    for idx, (a, sense, b) in enumerate(rows, start):
-        if type(b) is int and _INT_ONLY.issuperset(map(type, a)):  # already integers
-            ints, b_int, scale = a, b, 1
+    for a, sense, b in rows:
+        if sense == LEQ:
+            out.append((a, b))
+        elif sense == GEQ:
+            out.append(([-c for c in a], -b))
         else:
-            scale = _math.lcm(b.denominator, *(c.denominator for c in a))
-            ints = [c.numerator * (scale // c.denominator) for c in a]
-            b_int = b.numerator * (scale // b.denominator)
-        if sense in (LEQ, EQ):
-            out.append((ints, b_int, scale))
-            origin.append(idx)
-        if sense in (GEQ, EQ):
-            out.append(([-c for c in ints], -b_int, scale))
-            origin.append(idx)
-    return out, origin
+            raise ValueError(f"bad sense {sense}")
+    return out
 
 
 def _dense(np, leq: Sequence[_IntRow], width: int):
     """Float matrix and right-hand side of integer <= rows over ``width`` columns."""
-    a_mat = np.array([[c / scale for c in a] for a, _, scale in leq], dtype=float)
-    b_vec = np.array([b / scale for _, b, scale in leq], dtype=float)
-    return a_mat.reshape(len(leq), width), b_vec
+    a_mat = np.array([a for a, _ in leq], dtype=float)
+    return a_mat.reshape(len(leq), width), np.array([b for _, b in leq], dtype=float)
 
 
 def _transpose(leq: Sequence[_IntRow], width: int) -> tuple[list[list[int]], list[int]]:
     """The alternative's view of integer <= rows: each of the ``width``
     columns negated, and the right-hand sides."""
-    cols = [[-c for c in col] for col in zip(*(a for a, _, _ in leq))] or [[] for _ in range(width)]
-    return cols, [b for _, b, _ in leq]
+    cols = [[-c for c in col] for col in zip(*(a for a, _ in leq))] or [[] for _ in range(width)]
+    return cols, [b for _, b in leq]
 
 
 def _over_one_den(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -90,11 +83,10 @@ def _over_one_den(vals: Sequence[Fraction | int]) -> tuple[list[int], int]:
 @dataclass(frozen=True, eq=False)
 class LPResult:
     """Verdict with its witness as integer numerators ``nums`` over one
-    positive denominator ``den``: the point when feasible, else one
-    multiplier per original row (>= 0 for the row's own sense, signed for
-    equality rows).  ``x`` and ``farkas`` are the same witness in Fractions,
-    built when first read; two results are equal when their verdict, their
-    witness and their path are."""
+    positive denominator ``den``: the point when feasible, else one ``>= 0``
+    multiplier per row.  ``x`` and ``farkas`` are the same witness in
+    Fractions, built when first read; two results are equal when their
+    verdict, their witness and their path are."""
 
     feasible: bool
     nums: Sequence[int]
@@ -123,7 +115,8 @@ class LPResult:
 
 
 class RowBlock:
-    """Leading rows shared by many systems, normalised to ``<=`` form once.
+    """Leading integer rows shared by many systems, normalised to ``<=``
+    form once; a row's sense is ``LEQ`` or ``GEQ``.
 
     ``width`` is the column count of the systems sharing the rows.  The
     dense float copy of the rows and their transposed view for the exact
@@ -131,10 +124,10 @@ class RowBlock:
     so a solve never pays for the other route's copy.
     """
 
-    def __init__(self, rows: list[tuple[Sequence[Fraction | int], int, Fraction | int]], width: int):
+    def __init__(self, rows: list[_Row], width: int):
         self.rows = rows
         self.width = width
-        self.leq, self.origin = _normalise(rows, 0)
+        self.leq = _normalise(rows)
         self._dense = None
         self._alt = None
 
@@ -152,39 +145,43 @@ class RowBlock:
 
 @dataclass
 class LinearSystem:
-    """Rows ``coeffs . x  (<=, =, >=)  rhs`` over ``x >= 0``, in Fractions or ints.
+    """Rows ``coeffs . x  (<=, >=)  rhs`` over ``x >= 0``, in integers.
 
-    ``rows`` holds every row.  When ``block`` is given, ``rows`` starts with
-    ``block.rows`` and only the rows after them are normalised per solve;
-    the exact checks still read every row of ``rows``.
+    ``rows`` holds every row; its senses are ``LEQ`` and ``GEQ``, and
+    :meth:`add` stores an equality as its ``LEQ`` row then its ``GEQ`` row.
+    ``rows`` starts with ``block.rows`` and only the rows after them are
+    normalised per solve; a system built without a block gets an empty one.
+    The exact checks read every row of ``rows``.
     """
 
     num_vars: int
-    rows: list[tuple[tuple[Fraction, ...], int, Fraction]] = field(default_factory=list)
-    block: RowBlock | None = field(default=None, repr=False, compare=False)
+    rows: list[_Row] = field(default_factory=list)
+    block: RowBlock = field(default=None, repr=False, compare=False)
 
-    def add(self, coeffs: Sequence[Fraction | int], sense: int, rhs: Fraction | int) -> None:
+    def __post_init__(self) -> None:
+        self.block = self.block or RowBlock([], self.num_vars)
+
+    def add(self, coeffs: Sequence[int], sense: int, rhs: int) -> None:
         if len(coeffs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coefficients, got {len(coeffs)}")
-        if sense not in (LEQ, EQ, GEQ):
+        if any(type(v) is not int for v in (*coeffs, rhs)):
+            raise ValueError("rows take int coefficients and an int right-hand side")
+        coeffs = tuple(coeffs)
+        if sense == EQ:
+            self.rows += [(coeffs, LEQ, rhs), (coeffs, GEQ, rhs)]
+        elif sense in (LEQ, GEQ):
+            self.rows.append((coeffs, sense, rhs))
+        else:
             raise ValueError(f"bad sense {sense}")
-        self.rows.append((tuple(Fraction(c) for c in coeffs), sense, Fraction(rhs)))
 
     # -- normalisation ------------------------------------------------------
 
-    def _leq_rows(self) -> tuple[list[_IntRow], list[int]]:
-        """Rows in <= form, each as integers ``(A, b, scale)`` equal to the
-        rational row times ``scale``, plus the original row index of each."""
-        if self.block is None:
-            return _normalise(self.rows, 0)
-        start = len(self.block.rows)
-        leq, origin = _normalise(self.rows[start:], start)
-        return self.block.leq + leq, self.block.origin + origin
+    def _leq_rows(self) -> list[_IntRow]:
+        """Rows in <= form: the block's, normalised once, then the others."""
+        return self.block.leq + _normalise(self.rows[len(self.block.rows):])
 
     def _alternative(self, leq: list[_IntRow]) -> tuple[list[list[int]], list[int]]:
         """:func:`_transpose` of ``leq``, the block's part taken from its cache."""
-        if self.block is None:
-            return _transpose(leq, self.num_vars)
         head_cols, head_rhs = self.block.alternative()
         cols, rhs = _transpose(leq[len(self.block.leq):], self.num_vars)
         return [h + t for h, t in zip(head_cols, cols)], head_rhs + rhs
@@ -200,31 +197,27 @@ class LinearSystem:
         for a, sense, b in self.rows:
             lhs = sum(map(_mul, a, x))
             rhs = b * den
-            if sense == LEQ and lhs > rhs:
-                return False
-            if sense == GEQ and lhs < rhs:
-                return False
-            if sense == EQ and lhs != rhs:
+            if (lhs > rhs) if sense == LEQ else (lhs < rhs):
                 return False
         return True
 
-    def check_farkas(self, u_orig: Sequence[Fraction | int], den: int | None = None) -> bool:
-        """Exact check of a per-original-row certificate of infeasibility,
-        given like the point of :meth:`check_point`."""
+    def check_farkas(self, u: Sequence[Fraction | int], den: int | None = None) -> bool:
+        """Exact check of a certificate of infeasibility, one ``>= 0``
+        multiplier per row, given like the point of :meth:`check_point`."""
         if den is None:
-            u_orig, den = _over_one_den(u_orig)
-        if len(u_orig) != len(self.rows) or den <= 0:
+            u, den = _over_one_den(u)
+        if len(u) != len(self.rows) or den <= 0:
             return False
         # the certificate scaled by den: integer rows stay in integers
         combo = [0] * self.num_vars
         rhs = 0
-        for (a, sense, b), k in zip(self.rows, u_orig):
-            if sense != EQ and k < 0:
-                return False  # only equality rows take a signed multiplier
+        for (a, sense, b), k in zip(self.rows, u):
+            if k < 0:
+                return False
             if not k:
                 continue
             if sense == GEQ:
-                k = -k  # orient the row as <=, like LEQ and EQ rows
+                k = -k  # orient the row as <=
             combo = [s + k * c for s, c in zip(combo, a)]
             rhs += k * b
         # sum u_r (a_r x - b_r) over oriented rows is <= 0 for feasible x;
@@ -234,51 +227,28 @@ class LinearSystem:
     # -- solving -------------------------------------------------------------
 
     def solve(self, *, force_exact: bool = False) -> LPResult:
-        leq, origin = self._leq_rows()
+        leq = self._leq_rows()
         if not force_exact and _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
-            res = self._solve_float(leq, origin)
+            res = self._solve_float(leq)
             if res is not None:
                 return res
-        feasible, nums, den = _solve_alternative(leq, self._alternative(leq))
+        feasible, nums, den = _solve_alternative(self._alternative(leq))
         if feasible:
             if not self.check_point(nums, den):
                 raise AssertionError("exact simplex returned a bad point")
-            return LPResult(True, nums, den)
-        u = self._fold_farkas(nums, origin)
-        if not self.check_farkas(u, den):
+        elif not self.check_farkas(nums, den):
             raise AssertionError("exact simplex returned a bad certificate")
-        return LPResult(False, u, den)
+        return LPResult(feasible, nums, den)
 
-    def _fold_farkas(self, u_leq: Sequence, origin: Sequence[int]) -> list:
-        """Fold <=-form multipliers (integers or Fractions) back onto
-        original rows.
-
-        Equality rows expand to ``(a, b)`` then ``(-a, -b)``; their net signed
-        multiplier is first minus second, oriented like a LEQ row.
-        """
-        folded = [0] * len(self.rows)
-        seen_first: set[int] = set()
-        for u, idx in zip(u_leq, origin):
-            _, sense, _ = self.rows[idx]
-            if sense == EQ and idx in seen_first:
-                folded[idx] -= u
-            else:
-                folded[idx] += u
-                seen_first.add(idx)
-        return folded
-
-    def _solve_float(self, leq, origin) -> LPResult | None:
+    def _solve_float(self, leq) -> LPResult | None:
         try:
             import numpy as np
             from scipy.optimize import linprog
         except ImportError:  # pragma: no cover
             return None
-        if self.block is None:
-            a_mat, b_vec = _dense(np, leq, self.num_vars)
-        else:
-            a_head, b_head = self.block.dense(np)
-            a_tail, b_tail = _dense(np, leq[len(self.block.leq):], self.num_vars)
-            a_mat, b_vec = np.vstack((a_head, a_tail)), np.concatenate((b_head, b_tail))
+        a_head, b_head = self.block.dense(np)
+        a_tail, b_tail = _dense(np, leq[len(self.block.leq):], self.num_vars)
+        a_mat, b_vec = np.vstack((a_head, a_tail)), np.concatenate((b_head, b_tail))
         probe = linprog(
             np.zeros(self.num_vars), A_ub=a_mat, b_ub=b_vec,
             bounds=(0, None), method="highs",
@@ -300,8 +270,7 @@ class LinearSystem:
             return None
         duals = [max(0.0, -m) for m in relaxed.ineqlin.marginals]
         for denom in _DENOM_LADDER:
-            u_leq = [Fraction(d).limit_denominator(denom) for d in duals]
-            nums, den = _over_one_den(self._fold_farkas(u_leq, origin))
+            nums, den = _over_one_den([Fraction(d).limit_denominator(denom) for d in duals])
             if self.check_farkas(nums, den):
                 return LPResult(False, nums, den, exact_path=False)
         return None
@@ -331,9 +300,8 @@ def _row_gcd_reduce(nums: list[int], den: int) -> int:
 def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, list[int], int]:
     """Feasibility of ``A x <= b, x >= 0`` with exact arithmetic.
 
-    Rows come as integers with the factor they were scaled by.  Returns
-    ``(True, x, den)`` for the point ``x / den``, or ``(False, u, den)``
-    where ``u / den`` are nonnegative multipliers over the unscaled rows
+    Returns ``(True, x, den)`` for the point ``x / den``, or
+    ``(False, u, den)`` where ``u / den`` are nonnegative multipliers
     with ``u^T A >= 0`` and ``u^T b < 0``; ``den`` is positive.
     """
     rows = len(leq_rows)
@@ -355,10 +323,8 @@ def _simplex_phase1(num_vars: int, leq_rows: Sequence[_IntRow]) -> tuple[bool, l
 
     # infeasible: for both row kinds the <=-form multiplier is the reduced
     # cost of the row's slack/surplus column (kept: u = -y, rc = -y;
-    # flipped: u = +y, rc = +y); phase-1 optimality makes them >= 0.  Undo
-    # the input row scaling so the certificate fits the caller's rows.
-    rc = tableau[rows]
-    return False, [rc[num_vars + r] * leq_rows[r][2] for r in range(rows)], dens[rows]
+    # flipped: u = +y, rc = +y); phase-1 optimality makes them >= 0.
+    return False, tableau[rows][num_vars:num_vars + rows], dens[rows]
 
 
 def _phase1_tableau(
@@ -370,7 +336,7 @@ def _phase1_tableau(
     Columns are the variables, one slack/surplus per row, then one
     artificial per row with a negative rhs."""
     rows = len(leq_rows)
-    flipped = [b < 0 for _, b, _ in leq_rows]
+    flipped = [b < 0 for _, b in leq_rows]
     n_art = sum(flipped)
     slack_base = num_vars
     art_base = num_vars + rows
@@ -380,7 +346,7 @@ def _phase1_tableau(
     dens: list[int] = [1] * (rows + 1)
     basis: list[int] = []
     next_art = art_base
-    for r, (a, b, _) in enumerate(leq_rows):
+    for r, (a, b) in enumerate(leq_rows):
         if flipped[r]:
             row = [-c for c in a] + [0] * (rows + n_art) + [-b]
             row[slack_base + r] = -1  # surplus
@@ -472,23 +438,20 @@ def _tableau_size(num_vars: int, rows: int) -> int:
     return (num_vars + 1) * (rows + num_vars + 2)
 
 
-def _solve_alternative(
-    leq_rows: Sequence[_IntRow], alt: tuple[list[list[int]], list[int]]
-) -> tuple[bool, list[int], int]:
+def _solve_alternative(alt: tuple[list[list[int]], list[int]]) -> tuple[bool, list[int], int]:
     """Same contract as :func:`_simplex_phase1`, solved on the alternative.
 
-    ``alt`` is :func:`_transpose` of ``leq_rows``: the alternative's rows
-    are the negated columns of the integer rows and the rhs, with scale 1.
-    A feasible ``u`` is a certificate over the integer rows, so
-    ``u_r * scale_r`` is one over the unscaled rows.  An infeasible
-    alternative comes with multipliers ``(y, z)``, ``y >= 0``, where
-    ``-A y + z b >= 0`` and ``-z < 0``: the point is ``y`` over ``z``.
+    ``alt`` is :func:`_transpose` of the integer ``<=`` rows: the
+    alternative's rows are their negated columns and the rhs.  A feasible
+    ``u`` is a certificate over the rows.  An infeasible alternative comes
+    with multipliers ``(y, z)``, ``y >= 0``, where ``-A y + z b >= 0`` and
+    ``-z < 0``: the point is ``y`` over ``z``.
     """
     cols, rhs = alt
-    alt_rows = [(col, 0, 1) for col in cols]
-    alt_rows.append((rhs, -1, 1))
-    alt_feasible, nums, den = _simplex_phase1(len(leq_rows), alt_rows)
+    alt_rows = [(col, 0) for col in cols]
+    alt_rows.append((rhs, -1))
+    alt_feasible, nums, den = _simplex_phase1(len(rhs), alt_rows)
     if alt_feasible:
-        return False, [u * scale for u, (_, _, scale) in zip(nums, leq_rows)], den
+        return False, nums, den
     *y, z = nums
     return True, y, z

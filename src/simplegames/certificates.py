@@ -81,7 +81,8 @@ def _bit_planes(masks: Iterable[int]) -> list[int]:
 
 
 def verify_certificate(g: SimpleGame, tt: TradingTransform) -> bool:
-    """True iff the transform is balanced with winning pres and losing posts."""
+    """True iff every pre-coalition wins and every post-coalition loses.
+    An unbalanced transform raises :class:`InvalidGameError`."""
     if tt.n != g.n:
         raise InvalidGameError("transform and game player counts differ")
     pre = [c.mask for c in tt.pre]
@@ -130,7 +131,12 @@ def pair_incompatibility_certificate(
     if _popcount(y1.mask ^ y2.mask) > MAX_TABLE_PLAYERS:
         raise InvalidGameError("symmetric difference too large for the pattern scan")
     split = _swap_split(g, y1.mask, y2.mask, True)
-    return None if split is None else _canonical(g.n, list(split), [y1.mask, y2.mask])
+    if split is None:
+        return None
+    tt = _canonical(g.n, list(split), [y1.mask, y2.mask])
+    if not verify_certificate(g, tt):
+        raise AssertionError("pair certificate failed verification")
+    return tt
 
 
 def _swap_split(g: SimpleGame, a: int, b: int, win: bool) -> tuple[int, int] | None:
@@ -179,9 +185,7 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     if g.n <= MAX_TABLE_PLAYERS:
         pair = desirability.incomparable_pair(g)
         if pair is not None:
-            cert = _incomparability_certificate(g, *pair)
-            if cert is not None:
-                return cert
+            return _incomparability_certificate(g, *pair)
     if lpsep.is_weighted(g) is not None:
         return None  # weighted: no certificate of any length exists
     maxlose = maximal_losing_masks(g)
@@ -203,11 +207,9 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     return None
 
 
-def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransform | None:
-    witness = desirability.incomparability_witness(g, i, j)
-    if witness is None:
-        return None
-    win1, win2 = witness  # win1 = X|{j} wins, X|{i} loses; win2 symmetric
+def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransform:
+    # win1 = X|{j} wins, X|{i} loses; win2 symmetric
+    win1, win2 = desirability.incomparability_witness(g, i, j)
     bi, bj = 1 << i, 1 << j
     post1 = (win1 ^ bj) | bi
     post2 = (win2 ^ bi) | bj

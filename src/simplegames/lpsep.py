@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import desirability
-from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult, RowBlock, _over_one_den
+from ._exactlp import EQ, GEQ, LEQ, LinearSystem, LPResult, RowBlock, _Row, _over_one_den
 from .core import (
     MAX_TABLE_PLAYERS,
     Coalition,
@@ -167,10 +167,6 @@ def separable_result(
     lose = _inclusion_maximal(lose_masks, n)
     fixed = RowBlock(_incidence_rows(win, n, True), n + 1)
     return _separate(fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
-
-
-# integral rows stay plain ints, which the LP layer takes alongside Fractions
-_Row = tuple[tuple[int, ...], int, int]
 
 
 def _separation_rows(vectors: Iterable[Sequence[int]], win: bool) -> list[_Row]:

@@ -268,21 +268,26 @@ class TestFindCertificate:
         assert verify_certificate(g, cert)
 
 
-def test_failed_verification_raises_under_python_O():
+@pytest.mark.parametrize("game, route", [
+    ("make_game_from_masks(4, [0b0011, 0b1100])", "incomparability"),
+    ("losing_witness_family(2, 2)[0]", "pair"),
+], ids=["incomparability", "pair"])
+def test_failed_verification_raises_under_python_O(game, route):
     """The runtime checks behind every returned certificate are explicit
-    raises, so running with ``-O`` (which strips ``assert``) keeps them."""
+    raises, so running with ``-O`` (which strips ``assert``) keeps them: an
+    incomparable game takes the swap route, a complete one the pair scan."""
     import simplegames
 
     code = textwrap.dedent(
-        """
+        f"""
         import sys
         import simplegames.certificates as c
-        from simplegames import make_game_from_masks
+        from simplegames import losing_witness_family, make_game_from_masks
 
         if not sys.flags.optimize:
             raise SystemExit("expected a run under -O")
         c.verify_certificate = lambda g, tt: False
-        c.find_certificate(make_game_from_masks(4, [0b0011, 0b1100]), 2)
+        c.find_certificate({game}, 2)
         """
     )
     src = Path(simplegames.__file__).resolve().parent.parent
@@ -294,4 +299,4 @@ def test_failed_verification_raises_under_python_O():
         timeout=60,
     )
     assert proc.returncode == 1
-    assert "AssertionError: incomparability certificate failed verification" in proc.stderr
+    assert f"AssertionError: {route} certificate failed verification" in proc.stderr

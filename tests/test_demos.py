@@ -1,5 +1,8 @@
-"""Smoke test: every script under ``demos/`` runs to completion."""
+"""Smoke test: every script under ``demos/`` runs to completion; and the
+library's runtime checks are explicit raises, never ``assert`` statements,
+which ``python -O`` strips."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -9,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "simplegames").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -18,3 +22,13 @@ def test_demo_exits_zero(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert LIBRARY and not found, found

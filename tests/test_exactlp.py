@@ -3,6 +3,7 @@ route (the simplex on the Farkas alternative) against the simplex on the
 original rows, the integer read-out of the simplex against a Fraction
 read-out of the same tableau, and the Farkas certificate check."""
 
+import math
 import random
 import subprocess
 import sys
@@ -29,7 +30,7 @@ def _farkas_reference(system: LinearSystem, u_orig) -> bool:
     combo = [Fraction(0)] * system.num_vars
     rhs = Fraction(0)
     for (a, sense, b), u in zip(system.rows, u_orig):
-        if sense != EQ and u < 0:
+        if u < 0:
             return False
         if sense == GEQ:
             u = -u
@@ -41,7 +42,7 @@ def _farkas_reference(system: LinearSystem, u_orig) -> bool:
 
 def _fraction_phase1(num_vars: int, leq_rows):
     """Reference read-out of the final phase-1 tableau in Fractions, one
-    per coordinate: ``(True, x)`` or ``(False, u)`` over the unscaled rows."""
+    per coordinate: ``(True, x)`` or ``(False, u)``."""
     rows = len(leq_rows)
     if rows == 0:
         return True, [Fraction(0)] * num_vars
@@ -54,19 +55,19 @@ def _fraction_phase1(num_vars: int, leq_rows):
                 x[basis[r]] = Fraction(tableau[r][width], dens[r])
         return True, x
     rc, rc_den = tableau[rows], dens[rows]
-    return False, [Fraction(rc[num_vars + r] * leq_rows[r][2], rc_den) for r in range(rows)]
+    return False, [Fraction(rc[num_vars + r], rc_den) for r in range(rows)]
 
 
 def _fraction_alternative(num_vars: int, leq_rows):
     """Reference for :func:`_solve_alternative`: the alternative transposed
-    here, read out by :func:`_fraction_phase1`, and ``x = y / z`` or
-    ``u * scale`` taken in Fractions."""
-    columns = list(zip(*(a for a, _, _ in leq_rows))) or [()] * num_vars
-    alt = [([-c for c in col], 0, 1) for col in columns]
-    alt.append(([b for _, b, _ in leq_rows], -1, 1))
+    here, read out by :func:`_fraction_phase1`, and ``x = y / z`` taken in
+    Fractions."""
+    columns = list(zip(*(a for a, _ in leq_rows))) or [()] * num_vars
+    alt = [([-c for c in col], 0) for col in columns]
+    alt.append(([b for _, b in leq_rows], -1))
     alt_feasible, payload = _fraction_phase1(len(leq_rows), alt)
     if alt_feasible:
-        return False, [u * scale for u, (_, _, scale) in zip(payload, leq_rows)]
+        return False, payload
     *y, z = payload
     return True, [v / z for v in y]
 
@@ -126,7 +127,7 @@ def separation_runs():
 class TestFloatAgainstExact:
     def test_systems_take_the_float_pass(self, separation_runs):
         for system, _, _ in separation_runs:
-            assert _tableau_size(system.num_vars, len(system._leq_rows()[0])) > _FLOAT_PASS_LIMIT
+            assert _tableau_size(system.num_vars, len(system._leq_rows())) > _FLOAT_PASS_LIMIT
         kinds = {(res.feasible, res.exact_path) for _, res, _ in separation_runs}
         # both verdicts occur, and both were decided on the float path
         assert {(True, False), (False, False)} <= kinds
@@ -150,13 +151,9 @@ class TestFloatAgainstExact:
 
     def test_exact_result_matches_fraction_readout(self, separation_runs):
         for system, _, exact in separation_runs:
-            leq, origin = system._leq_rows()
-            feasible, ref = _fraction_alternative(system.num_vars, leq)
+            feasible, ref = _fraction_alternative(system.num_vars, system._leq_rows())
             assert exact.feasible == feasible
-            if feasible:
-                assert list(exact.x) == ref
-            else:
-                assert list(exact.farkas) == system._fold_farkas(ref, origin)
+            assert list(exact.x if feasible else exact.farkas) == ref
 
     def test_points_and_certificates_verify(self, separation_runs):
         for system, *results in separation_runs:
@@ -185,16 +182,18 @@ class TestFloatAgainstExact:
 
 
 def _fractional_system() -> LinearSystem:
-    """Infeasible over x >= 0: rows 0 and 1 alone already conflict."""
+    """Infeasible over x >= 0: rows 0 and 1 alone already conflict.  The
+    rational rows x/2 + y/3 <= 1/4 and x - y = 1/5, times the lcm of their
+    denominators; the equality is rows 2 and 3."""
     system = LinearSystem(2)
-    system.add([Fraction(1, 2), Fraction(1, 3)], LEQ, Fraction(1, 4))
+    system.add([6, 4], LEQ, 3)
     system.add([1, 1], GEQ, 1)
-    system.add([1, -1], EQ, Fraction(1, 5))
+    system.add([5, -5], EQ, 1)
     return system
 
 
 def test_row_block_normalises_like_the_whole_system():
-    rows = _fractional_system().rows + [((Fraction(2, 3), 0), GEQ, Fraction(1, 6))]
+    rows = _fractional_system().rows + [((4, 0), GEQ, 1)]
     whole = LinearSystem(2, rows)
     for cut in range(len(rows) + 1):
         split = LinearSystem(2, rows, RowBlock(rows[:cut], 2))
@@ -202,15 +201,42 @@ def test_row_block_normalises_like_the_whole_system():
         assert split.solve() == whole.solve()
 
 
+class TestRowContract:
+    """Rows are integer LEQ or GEQ rows; ``add`` turns an equality into its
+    LEQ row then its GEQ row."""
+
+    @pytest.mark.parametrize("coeffs, sense, rhs", [
+        ([Fraction(1, 2), 1], LEQ, 1),
+        ([1, 0.5], GEQ, 1),
+        ([1, 1], 2, 1),
+    ], ids=["fraction", "float", "sense"])
+    def test_add_rejects(self, coeffs, sense, rhs):
+        system = LinearSystem(2)
+        with pytest.raises(ValueError):
+            system.add(coeffs, sense, rhs)
+        assert system.rows == []
+
+    def test_add_splits_an_equality(self):
+        system = LinearSystem(2)
+        system.add([3, -1], EQ, 2)
+        assert system.rows == [((3, -1), LEQ, 2), ((3, -1), GEQ, 2)]
+
+    def test_solve_rejects_an_equality_row(self):
+        system = LinearSystem(2, [((3, -1), EQ, 2)])
+        with pytest.raises(ValueError, match="bad sense"):
+            system.solve()
+
+
 def _random_rational_system(
     rng: random.Random, num_vars: int, rows: int, feasible: bool
 ) -> LinearSystem:
-    """LEQ, GEQ and EQ rows with fractional entries; about one row in eight
-    is all zeros.  A feasible system is planted around a point ``x0 >= 0``.
-    An infeasible one ends with a row that asks ``c.x`` to exceed a bound
-    which a random nonnegative combination of the other rows puts on it."""
+    """LEQ, GEQ and EQ rows drawn with fractional entries, each multiplied
+    by the lcm of its denominators; about one row in eight is all zeros.  A
+    feasible system is planted around a point ``x0 >= 0``.  An infeasible
+    one ends with a row that asks ``c.x`` to exceed a bound which a random
+    nonnegative combination of the other rows puts on it."""
     x0 = [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(num_vars)]
-    system = LinearSystem(num_vars)
+    drawn = []
     for _ in range(rows - (not feasible)):
         if rng.random() < 0.125:
             coeffs = [0] * num_vars
@@ -221,15 +247,19 @@ def _random_rational_system(
         if feasible:
             at_x0 = sum(c * v for c, v in zip(coeffs, x0))
             rhs = at_x0 if sense == EQ else at_x0 - sense * abs(rhs)
-        system.add(coeffs, sense, rhs)
+        drawn.append((coeffs, sense, rhs))
     if not feasible:
         combo, bound = [Fraction(0)] * num_vars, Fraction(0)
-        for a, sense, b in system.rows:
+        for a, sense, b in drawn:
             u = Fraction(rng.randint(-3 if sense == EQ else 0, 3), rng.randint(1, 3))
             u = -u if sense == GEQ else u  # the row oriented as <=
             combo = [s + u * c for s, c in zip(combo, a)]
             bound += u * b
-        system.add(combo, GEQ, bound + Fraction(1, rng.randint(1, 4)))
+        drawn.append((combo, GEQ, bound + Fraction(1, rng.randint(1, 4))))
+    system = LinearSystem(num_vars)
+    for coeffs, sense, rhs in drawn:
+        scale = math.lcm(Fraction(rhs).denominator, *(Fraction(c).denominator for c in coeffs))
+        system.add([int(c * scale) for c in coeffs], sense, int(rhs * scale))
     return system
 
 
@@ -247,15 +277,15 @@ class TestAlternativeAgainstDirect:
         for trial in range(30):
             planted = trial % 2 == 0 or rows == 0
             system = _random_rational_system(rng, num_vars, rows, planted)
-            leq, origin = system._leq_rows()
+            leq = system._leq_rows()
             direct = _simplex_phase1(num_vars, leq)
-            alternative = _solve_alternative(leq, _transpose(leq, num_vars))
+            alternative = _solve_alternative(_transpose(leq, num_vars))
             assert direct[0] == alternative[0] == planted
             for feasible, nums, den in (direct, alternative):
                 if feasible:
                     assert system.check_point(nums, den)
                 else:
-                    assert system.check_farkas(system._fold_farkas(nums, origin), den)
+                    assert system.check_farkas(nums, den)
 
     @pytest.mark.parametrize("num_vars, rows", _SHAPES)
     def test_integer_readout_matches_fraction_readout(self, num_vars, rows):
@@ -263,10 +293,10 @@ class TestAlternativeAgainstDirect:
         for trial in range(30):
             planted = trial % 2 == 0 or rows == 0
             system = _random_rational_system(rng, num_vars, rows, planted)
-            leq, origin = system._leq_rows()
+            leq = system._leq_rows()
             routes = (
                 (_simplex_phase1(num_vars, leq), _fraction_phase1(num_vars, leq)),
-                (_solve_alternative(leq, _transpose(leq, num_vars)), _fraction_alternative(num_vars, leq)),
+                (_solve_alternative(_transpose(leq, num_vars)), _fraction_alternative(num_vars, leq)),
             )
             for (feasible, nums, den), (ref_feasible, ref) in routes:
                 assert den > 0 and feasible == ref_feasible
@@ -274,35 +304,32 @@ class TestAlternativeAgainstDirect:
             res = system.solve()
             feasible, ref = _fraction_alternative(num_vars, leq)
             assert res.feasible == feasible
-            if feasible:
-                assert list(res.x) == ref
-            else:
-                assert list(res.farkas) == system._fold_farkas(ref, origin)
+            assert list(res.x if feasible else res.farkas) == ref
 
 
 class TestCheckFarkas:
-    VALID = (Fraction(3), Fraction(1), Fraction(-1, 4))  # signed on the EQ row
+    VALID = (Fraction(5), Fraction(20), Fraction(0), Fraction(1))  # on the equality's >= half
 
     def test_accepts_valid_certificates_on_fraction_rows(self):
         system = _fractional_system()
         assert system.check_farkas(self.VALID)
-        assert system.check_farkas((Fraction(3, 2), Fraction(1, 2), Fraction(0)))
+        assert system.check_farkas((Fraction(1, 8), Fraction(1, 2), Fraction(0), Fraction(0)))
 
     def test_exact_simplex_certificate_on_fraction_rows(self):
         system = _fractional_system()
         res = system.solve()
         assert not res.feasible and system.check_farkas(res.farkas)
 
-    @pytest.mark.parametrize("index, delta", [(0, Fraction(-1)), (1, Fraction(-1, 2))])
+    @pytest.mark.parametrize("index, delta", [(0, Fraction(-1)), (1, Fraction(-10))])
     def test_rejects_a_perturbed_multiplier(self, index, delta):
         u = list(self.VALID)
         u[index] += delta
         assert not _fractional_system().check_farkas(u)
 
     @pytest.mark.parametrize("sense, coeff, rhs", [
-        (LEQ, Fraction(-1, 2), Fraction(1, 3)),
-        (GEQ, Fraction(1, 2), Fraction(-1, 3)),
-    ])
+        (LEQ, -3, 2),
+        (GEQ, 3, -2),
+    ], ids=["leq", "geq"])
     def test_rejects_negative_multiplier_on_inequality_row(self, sense, coeff, rhs):
         # a feasible system (x = 0) whose sums pass only through the sign
         system = LinearSystem(1)
@@ -336,8 +363,8 @@ def test_failed_integer_check_raises_under_python_O(sense, rhs, message):
             raise SystemExit("expected a run under -O")
         solve_alternative = _exactlp._solve_alternative
 
-        def corrupted(leq_rows, alt):
-            feasible, nums, den = solve_alternative(leq_rows, alt)
+        def corrupted(alt):
+            feasible, nums, den = solve_alternative(alt)
             nums = [nums[0] + 1, *nums[1:]] if feasible else [-v for v in nums]
             return feasible, nums, den
 
