@@ -6,11 +6,10 @@ has one row per column, so the tall, thin separation systems pivot a short
 tableau, and either outcome yields a feasible point or a Farkas certificate
 of the original system.  Systems whose tableau is below a size threshold
 take the exact route directly.  Larger ones are probed with scipy's HiGHS
-solver first, but a float answer only counts once its witness survives exact
-verification: a feasible point is rationalised and substituted into every
-row, an infeasibility claim must come with dual multipliers that pass an
-exact Farkas check.  Anything that fails verification falls back to the
-exact route.  Every exact answer is checked the same way.
+solver first, and only for a feasible point: HiGHS's point is rounded once
+and kept only if it satisfies every row in exact arithmetic.  Every other
+outcome, an infeasible probe included, goes to the exact route, whose
+answers are checked the same way.
 
 Results stay in integers: a point or a certificate is a list of integer
 numerators over one positive denominator, and both checks read that form.
@@ -41,8 +40,6 @@ from typing import Sequence
 LEQ, EQ, GEQ = -1, 0, 1
 
 _EXACT_SIZE_LIMIT = 6_000  # exact tableau cells below this: skip the float pass
-_FLOAT_TOL = 1e-9
-_DENOM_LADDER = (10**4, 10**8, 10**12)
 
 _Row = tuple[Sequence[int], int, int]  # coefficients, sense (LEQ or GEQ), rhs
 _IntRow = tuple[Sequence[int], int]  # a <= row: coefficients, rhs
@@ -241,6 +238,9 @@ class LinearSystem:
         return LPResult(feasible, nums, den)
 
     def _solve_float(self, leq) -> LPResult | None:
+        """A HiGHS point rounded to denominators of at most 10**4, if it
+        passes :meth:`check_point`; None for any other outcome, which the
+        exact route then decides."""
         try:
             import numpy as np
             from scipy.optimize import linprog
@@ -253,27 +253,10 @@ class LinearSystem:
             np.zeros(self.num_vars), A_ub=a_mat, b_ub=b_vec,
             bounds=(0, None), method="highs",
         )
-        if probe.status == 0:
-            for denom in _DENOM_LADDER:
-                nums, den = _over_one_den([Fraction(v).limit_denominator(denom) for v in probe.x])
-                if self.check_point(nums, den):
-                    return LPResult(True, nums, den, exact_path=False)
+        if probe.status != 0:
             return None
-        if probe.status != 2:
-            return None
-        # minimum-violation LP: min s subject to  A x - s <= b,  x,s >= 0
-        a_big = np.hstack([a_mat, -np.ones((len(leq), 1))])
-        cost = np.zeros(self.num_vars + 1)
-        cost[-1] = 1.0
-        relaxed = linprog(cost, A_ub=a_big, b_ub=b_vec, bounds=(0, None), method="highs")
-        if relaxed.status != 0 or relaxed.fun <= _FLOAT_TOL:
-            return None
-        duals = [max(0.0, -m) for m in relaxed.ineqlin.marginals]
-        for denom in _DENOM_LADDER:
-            nums, den = _over_one_den([Fraction(d).limit_denominator(denom) for d in duals])
-            if self.check_farkas(nums, den):
-                return LPResult(False, nums, den, exact_path=False)
-        return None
+        nums, den = _over_one_den([Fraction(v).limit_denominator(10**4) for v in probe.x])
+        return LPResult(True, nums, den, exact_path=False) if self.check_point(nums, den) else None
 
 
 # -- exact phase-1 simplex ----------------------------------------------------

@@ -178,22 +178,27 @@ class PartOracle:
     maximal losing coalition of the game?
 
     Queries run through (in order): the orbit cache keyed by class-count
-    profiles (pairs only), the capped length-2 swap scan of ``certificates``
-    (pairs only), previously found witnesses, the closed form (the sum of
-    the queried coalitions' one-coalition parts, ``_summed_part``, kept if
-    an integer weight sum per coalition of the fixed side accepts it), and
-    finally the exact separation LP of ``lpsep``.  The game's side of that
-    LP is built once, here (its integer ``<=`` rows at construction, their
-    float copy on the first float solve, their transposed view on the first
-    exact solve), so an LP normalises and transposes only the queried
-    coalitions.  Every witness found, by the closed form or an LP, is
-    stored; ``lp_calls`` counts the LPs alone.
+    profiles (pairs only), then ``_index``.  For a pair, the stored
+    witnesses are tried before the capped length-2 swap scan of
+    ``certificates``, and ``_index`` only when both miss.  ``_index``
+    tries the sets found inseparable, the stored witnesses, the closed
+    form (the sum of the queried coalitions' one-coalition parts,
+    ``_summed_part``, kept if an integer weight sum per coalition of the
+    fixed side accepts it), and finally the exact separation LP of
+    ``lpsep``.  The game's side of that LP is built once, here (its integer
+    ``<=`` rows at construction, their float copy on the first float solve,
+    their transposed view on the first exact solve), so an LP normalises
+    and transposes only the queried coalitions.  Every witness found, by
+    the closed form or an LP, is stored, and every set the LP finds
+    inseparable is recorded; ``lp_calls`` counts the LPs alone.  A
+    feasible set needs no memo: the first stored witness handling it never
+    changes, because later witnesses get higher indices.
 
     Witnesses are kept as integers: the LP's integer point, or the closed
     form, divided by its gcd gives coprime weights and quota (for an LP the
-    same as ``lpsep``'s canonical form).  The set memo holds witness
-    indices; a :class:`WeightedRep` is built only when a witness is handed
-    out, by ``separable_set`` or for a block of the greedy cover.
+    same as ``lpsep``'s canonical form).  A :class:`WeightedRep` is built
+    only when a witness is handed out, by ``separable_set`` or for a block
+    of a cover.
 
     Stored witnesses are indexed per coalition: each queried coalition keeps
     an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
@@ -219,13 +224,11 @@ class PartOracle:
         # subsets of L_max, lose L_max when winning subsets of W_min
         self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
         self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"), g.n + 1)
-        self._set_memo: dict[frozenset[int], int | None] = {}  # witness index
+        self._inseparable: set[frozenset[int]] = set()  # sets answered None
         self._pair_orbit: dict[int, bool] | None = None
         self._codes: dict[int, int] = {}
-        # stored witnesses as coprime integer weights and quota, and the
-        # WeightedRep of each one handed out
+        # stored witnesses as coprime integer weights and quota
         self._witnesses: list[tuple[list[int], int]] = []
-        self._reps: dict[int, WeightedRep] = {}
         self._handled_by: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}  # players of each queried coalition
         self.lp_calls = 0
@@ -278,11 +281,8 @@ class PartOracle:
 
     def _rep(self, k: int) -> WeightedRep:
         """Stored witness ``k`` as a :class:`WeightedRep`."""
-        rep = self._reps.get(k)
-        if rep is None:
-            weights, quota = self._witnesses[k]
-            rep = self._reps[k] = WeightedRep(tuple(weights), quota)
-        return rep
+        weights, quota = self._witnesses[k]
+        return WeightedRep(tuple(weights), quota)
 
     def _store(self, weights: list[int], quota: int) -> int:
         """Store a witness given in coprime integers; return its index."""
@@ -312,24 +312,27 @@ class PartOracle:
         *weights, quota = _primitive(res.nums[: self.n + 1])
         return self._store(weights, quota)
 
-    def _index(self, masks: Collection[int]) -> int | None:
+    def _index(self, masks: frozenset[int]) -> int | None:
         """Index of the first stored witness handling every coalition of
         ``masks``, else of the closed-form or LP witness stored for them, or
-        None if inseparable."""
+        None if inseparable (recorded, so asking again runs no LP)."""
+        if masks in self._inseparable:
+            return None
         common = self._common(masks)
         if common:
             return _lowest(common)
         found = self._closed_form(masks)
         if found is not None:
             return self._store(*found)
-        return self._lp(frozenset(masks))
+        k = self._lp(masks)
+        if k is None:
+            self._inseparable.add(masks)
+        return k
 
     # -- queries -------------------------------------------------------------
 
     def separable_set(self, masks: frozenset[int]) -> WeightedRep | None:
-        if masks not in self._set_memo:
-            self._set_memo[masks] = self._index(masks)
-        k = self._set_memo[masks]
+        k = self._index(masks)
         return None if k is None else self._rep(k)
 
     def pair_compatible(self, a: int, b: int) -> bool:
@@ -347,13 +350,11 @@ class PartOracle:
 
     def _pair_verdict(self, a: int, b: int) -> bool:
         pair = frozenset((a, b))
-        if pair in self._set_memo:
-            return self._set_memo[pair] is not None
+        if self._common(pair):
+            return True
         if _swap_split(self.g, a, b, self.mode == "lose") is not None:
-            self._set_memo[pair] = None
             return False
-        k = self._set_memo[pair] = self._index(pair)
-        return k is not None
+        return self._index(pair) is not None
 
     def _join(self, masks: list[int], common: int, mask: int) -> int:
         """Bitset of stored witnesses to keep for ``masks`` plus ``mask``;
@@ -363,14 +364,13 @@ class PartOracle:
         miss witnesses stored since it was taken; those sit above all of its
         bits, so a nonzero AND with ``mask``'s bitset still starts at the
         first stored witness handling the whole set.  Only when that AND is
-        0 does the full ``separable_set`` (memo, stored witnesses, closed
-        form, LP) run; a witness it finds handles every member, so its bit
-        is in the recomputed AND.
+        0 does the full ``_index`` query run; a witness it finds handles
+        every member, so its bit is in the recomputed AND.
         """
         common &= self._handled(mask)
         if common:
             return common
-        if self.separable_set(frozenset(masks).union((mask,))) is None:
+        if self._index(frozenset(masks).union((mask,))) is None:
             return 0
         return self._common(masks) & self._handled(mask)
 
@@ -547,10 +547,11 @@ def _exists_cover(
     d: int,
     seed_clique: list[int],
     max_nodes: int,
-) -> list[list[int]] | None:
+) -> list[tuple[list[int], WeightedRep]] | None:
     """Branch and bound: partition all vertices into at most d feasible
-    blocks (returned as lists of coalition masks), or prove impossibility.
-    Raises BudgetExceeded past max_nodes."""
+    blocks, each returned as its coalition masks with the first stored
+    witness handling it, or prove impossibility.  Raises BudgetExceeded past
+    max_nodes."""
     nv = len(verts)
     pre = seed_clique[:d]
     order = pre + sorted(
@@ -595,9 +596,11 @@ def _exists_cover(
             common.pop()
         return False
 
-    if assign(len(pre)):
-        return [b[:] for b in blocks]
-    return None
+    if not assign(len(pre)):
+        return None
+    if not all(common):
+        raise AssertionError("a cover block lost its stored witnesses")
+    return [(b, oracle._rep(_lowest(c))) for b, c in zip(blocks, common)]
 
 
 def _check_cover(
@@ -660,7 +663,7 @@ def _cover_report(
                 found = _exists_cover(oracle, verts, adj, d, clique, budget.max_nodes)
                 if found is not None:
                     exact = upper = d
-                    blocks = [(blk, oracle.separable_set(frozenset(blk))) for blk in found]
+                    blocks = found
                     break
             else:
                 exact = upper

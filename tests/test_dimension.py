@@ -339,6 +339,19 @@ class TestOracleState:
         calls = oracle.lp_calls
         again = oracle.separable_set(s)
         assert first == again and oracle.lp_calls == calls
+        # witnesses stored later come after the one that answered s
+        stored = len(oracle._witnesses)
+        for q in combinations(maxlose, 2):
+            oracle.separable_set(frozenset(q))
+        assert len(oracle._witnesses) > stored
+        assert oracle.separable_set(s) == first
+        # an inseparable set is recorded: asking again runs no LP
+        game, witnesses = losing_witness_family(2, 2)
+        oracle = PartOracle(game, "lose")
+        pair = frozenset(w.mask for w in witnesses)
+        assert len(pair) == 2
+        assert oracle.separable_set(pair) is None and oracle.lp_calls == 1
+        assert oracle.separable_set(pair) is None and oracle.lp_calls == 1
 
 
 def test_separation_routes_agree_on_random_games():

@@ -129,8 +129,9 @@ class TestFloatAgainstExact:
         for system, _, _ in separation_runs:
             assert _tableau_size(system.num_vars, len(system._leq_rows())) > _FLOAT_PASS_LIMIT
         kinds = {(res.feasible, res.exact_path) for _, res, _ in separation_runs}
-        # both verdicts occur, and both were decided on the float path
-        assert {(True, False), (False, False)} <= kinds
+        # both verdicts occur: feasible ones decided on the float path,
+        # infeasible ones by the exact route after the probe
+        assert {(True, False), (False, True)} <= kinds
 
     def test_verdicts_agree(self, separation_runs):
         for _, res, exact in separation_runs:
@@ -146,8 +147,30 @@ class TestFloatAgainstExact:
             whole = LinearSystem(system.num_vars, list(system.rows))
             assert whole._leq_rows() == system._leq_rows()
             res = whole.solve()
-            assert not res.exact_path
+            if res.feasible:
+                assert not res.exact_path
             assert res == system.solve()
+
+    def test_infeasible_probe_goes_exact(self, separation_runs, monkeypatch):
+        # one HiGHS call, then the exact route's certificate
+        import scipy.optimize
+
+        calls = []
+        real_linprog = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
+        infeasible = [(system, exact) for system, _, exact in separation_runs if not exact.feasible]
+        assert infeasible
+        for system, exact in infeasible:
+            calls.clear()
+            res = system.solve()
+            assert len(calls) == 1
+            assert res.exact_path and res == exact
 
     def test_exact_result_matches_fraction_readout(self, separation_runs):
         for system, _, exact in separation_runs:
@@ -190,6 +213,16 @@ def _fractional_system() -> LinearSystem:
     system.add([1, 1], GEQ, 1)
     system.add([5, -5], EQ, 1)
     return system
+
+
+def test_float_point_failing_its_rounding_goes_exact(monkeypatch):
+    # HiGHS's point for 10007 x = 1 rounds, at denominators up to 10**4,
+    # to no solution; the exact route then gives x = 1/10007
+    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", 0)
+    system = LinearSystem(1)
+    system.add([10007], EQ, 1)
+    res = system.solve()
+    assert res.exact_path and res.x == (Fraction(1, 10007),)
 
 
 def test_row_block_normalises_like_the_whole_system():
