@@ -18,7 +18,9 @@ LP only when that fails:
 * upper bounds: one part per maximal losing coalition, improved by a greedy
   feasibility-preserving cover;
 * exact value: iterative-deepening branch and bound over block assignments,
-  memoised and pruned by the incompatibility graph.
+  memoised and pruned by the incompatibility graph, with forward checking
+  (no branch is entered once a coalition still to place conflicts with
+  every one of the d blocks).
 
 The union-side quantity (codimension: minimum number of weighted games whose
 union is the game) is the same cover problem with roles swapped: subsets of
@@ -178,21 +180,22 @@ class PartOracle:
     maximal losing coalition of the game?
 
     Queries run through (in order): the orbit cache keyed by class-count
-    profiles (pairs only), then ``_index``.  For a pair, the stored
-    witnesses are tried before the capped length-2 swap scan of
-    ``certificates``, and ``_index`` only when both miss.  ``_index``
-    tries the sets found inseparable, the stored witnesses, the closed
-    form (the sum of the queried coalitions' one-coalition parts,
+    profiles (pairs only), then ``_index``.  ``_index`` tries the stored
+    witnesses, then ``_new_index`` tries the sets found inseparable, the
+    closed form (the sum of the queried coalitions' one-coalition parts,
     ``_summed_part``, kept if an integer weight sum per coalition of the
     fixed side accepts it), and finally the exact separation LP of
-    ``lpsep``.  The game's side of that LP is built once, here (its integer
-    ``<=`` rows at construction, their float copy on the first float solve,
-    their transposed view on the first exact solve), so an LP normalises
-    and transposes only the queried coalitions.  Every witness found, by
-    the closed form or an LP, is stored, and every set the LP finds
-    inseparable is recorded; ``lp_calls`` counts the LPs alone.  A
-    feasible set needs no memo: the first stored witness handling it never
-    changes, because later witnesses get higher indices.
+    ``lpsep``.  A pair goes through the same steps with the capped
+    length-2 swap scan of ``certificates`` between them: the stored
+    witnesses, the swap scan, then ``_new_index``.  The game's side of
+    that LP is built once, here (its integer ``<=`` rows at construction,
+    their float copy on the first float solve, their transposed view on
+    the first exact solve), so an LP normalises and transposes only the
+    queried coalitions.  Every witness found, by the closed form or an LP,
+    is stored, and every set the LP finds inseparable is recorded;
+    ``lp_calls`` counts the LPs alone.  A feasible set needs no memo: the
+    first stored witness handling it never changes, because later
+    witnesses get higher indices.
 
     Witnesses are kept as integers: the LP's integer point, or the closed
     form, divided by its gcd gives coprime weights and quota (for an LP the
@@ -314,13 +317,16 @@ class PartOracle:
 
     def _index(self, masks: frozenset[int]) -> int | None:
         """Index of the first stored witness handling every coalition of
-        ``masks``, else of the closed-form or LP witness stored for them, or
-        None if inseparable (recorded, so asking again runs no LP)."""
+        ``masks``, else ``_new_index(masks)``."""
+        common = self._common(masks)
+        return _lowest(common) if common else self._new_index(masks)
+
+    def _new_index(self, masks: frozenset[int]) -> int | None:
+        """For ``masks`` that no stored witness handles: index of the
+        closed-form or LP witness stored for them, or None if inseparable
+        (recorded, so asking again runs no LP)."""
         if masks in self._inseparable:
             return None
-        common = self._common(masks)
-        if common:
-            return _lowest(common)
         found = self._closed_form(masks)
         if found is not None:
             return self._store(*found)
@@ -354,7 +360,7 @@ class PartOracle:
             return True
         if _swap_split(self.g, a, b, self.mode == "lose") is not None:
             return False
-        return self._index(pair) is not None
+        return self._new_index(pair) is not None
 
     def _join(self, masks: list[int], common: int, mask: int) -> int:
         """Bitset of stored witnesses to keep for ``masks`` plus ``mask``;
@@ -551,17 +557,37 @@ def _exists_cover(
     """Branch and bound: partition all vertices into at most d feasible
     blocks, each returned as its coalition masks with the first stored
     witness handling it, or prove impossibility.  Raises BudgetExceeded past
-    max_nodes."""
+    max_nodes.
+
+    Forward checking: once all d blocks are open, a placement after which
+    some vertex still to be placed is adjacent to every block is not
+    recursed into (nor counted as a node).  That vertex could join no
+    block, so the subtree holds no cover; the cut changes neither the order
+    of the search nor the first cover it finds.
+    """
     nv = len(verts)
     pre = seed_clique[:d]
     order = pre + sorted(
         (v for v in range(nv) if v not in pre),
         key=lambda v: (-_popcount(adj[v]), v),
     )
+    rest = [0] * (nv + 1)  # rest[i]: bitset of the vertices at positions >= i
+    for i in range(nv - 1, -1, -1):
+        rest[i] = rest[i + 1] | 1 << order[i]
     blocks: list[list[int]] = [[verts[v]] for v in pre]
     block_adj: list[int] = [adj[v] for v in pre]
     common: list[int] = [oracle._common(b) for b in blocks]
     nodes = 0
+
+    def stranded(idx: int) -> bool:
+        """True if all d blocks are open and a vertex at position ``idx`` or
+        later is adjacent to every one of them."""
+        if len(blocks) < d:
+            return False
+        left = rest[idx]
+        for a in block_adj:
+            left &= a
+        return left != 0
 
     def assign(idx: int) -> bool:
         nonlocal nodes
@@ -581,7 +607,7 @@ def _exists_cover(
             saved = block_adj[b], common[b]
             block_adj[b] |= adj[v]
             common[b] = joined
-            if assign(idx + 1):
+            if not stranded(idx + 1) and assign(idx + 1):
                 return True
             blocks[b].pop()
             block_adj[b], common[b] = saved
@@ -589,7 +615,7 @@ def _exists_cover(
             blocks.append([verts[v]])
             block_adj.append(adj[v])
             common.append(oracle._common(blocks[-1]))
-            if assign(idx + 1):
+            if not stranded(idx + 1) and assign(idx + 1):
                 return True
             blocks.pop()
             block_adj.pop()

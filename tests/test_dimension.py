@@ -172,6 +172,22 @@ class TestExactDimension:
         assert report.upper == report.num_maximal_losing
         assert any("budget" in note for note in report.notes)
 
+    def test_layered_family_4_2_is_settled(self):
+        """fam(4,2) has dimension 4: its clique bound is 4 and its greedy
+        cover has 6 parts, so the cover search decides."""
+        game, _ = losing_witness_family(4, 2)
+        report = exact_dimension(game, WIDE)
+        assert report.lower == report.upper == report.exact == 4
+        assert intersect_games(report.witness_upper.parts, game.n) == game
+
+    def test_node_budget_still_binds(self):
+        """Out of nodes, the report keeps the bounds and the greedy witness."""
+        game, _ = losing_witness_family(3, 2)
+        report = exact_dimension(game, Budget(1500, 700, 50))
+        assert report.exact is None
+        assert "cover search exceeded 50 nodes" in report.notes
+        assert intersect_games(report.witness_upper.parts, game.n) == game
+
     def test_degenerate_games(self):
         all_win = make_game(3, [Coalition.of([], 3)])
         all_lose = make_game(3, [])
@@ -563,26 +579,147 @@ class TestCoverWitnessCheck:
 
 
 def test_lp_counts_stay_bounded(monkeypatch):
-    """Separation LPs run by ``exact_dimension`` on the benchmark's hard games
-    (same budget); the bounds are the counts of the current search."""
+    """Separation LPs and ``_join`` calls run by ``exact_dimension`` on the
+    benchmark's hard games and fam(2,3) (same budget); the bounds are the
+    counts of the current search."""
     calls = []
-    real_lp = PartOracle._lp
+    joins = []
+    real_lp, real_join = PartOracle._lp, PartOracle._join
 
     def counting(self, masks):
         calls.append(masks)
         return real_lp(self, masks)
 
+    def counting_join(self, masks, common, mask):
+        joins.append(mask)
+        return real_join(self, masks, common, mask)
+
     monkeypatch.setattr(PartOracle, "_lp", counting)
+    monkeypatch.setattr(PartOracle, "_join", counting_join)
     budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
     games = {
-        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 27),
-        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 13),
-        "fam32": (losing_witness_family(3, 2)[0], 3, 103),
+        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 18, 56),
+        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 13, 586),
+        "fam32": (losing_witness_family(3, 2)[0], 3, 17, 182),
+        "fam23": (losing_witness_family(2, 3)[0], 4, 112, 437),
     }
-    for name, (g, exact, bound) in games.items():
+    for name, (g, exact, lp_bound, join_bound) in games.items():
         calls.clear()
+        joins.clear()
         assert exact_dimension(g, budget).exact == exact, name
-        assert len(calls) <= bound, (name, len(calls))
+        assert len(calls) <= lp_bound, (name, len(calls))
+        assert len(joins) <= join_bound, (name, len(joins))
+
+
+def _exists_cover_reference(oracle, verts, adj, d, seed_clique):
+    """The cover search of ``dimension._exists_cover`` without its forward
+    check (same vertex order, same block loop, no node budget): the block
+    masks of the first cover found, or None."""
+    pre = seed_clique[:d]
+    order = pre + sorted(
+        (v for v in range(len(verts)) if v not in pre), key=lambda v: (-adj[v].bit_count(), v)
+    )
+    blocks = [[verts[v]] for v in pre]
+    block_adj = [adj[v] for v in pre]
+    common = [oracle._common(b) for b in blocks]
+
+    def assign(idx):
+        if idx == len(order):
+            return True
+        v = order[idx]
+        for b in range(len(blocks)):
+            if block_adj[b] >> v & 1:
+                continue
+            joined = oracle._join(blocks[b], common[b], verts[v])
+            if not joined:
+                continue
+            blocks[b].append(verts[v])
+            saved = block_adj[b], common[b]
+            block_adj[b] |= adj[v]
+            common[b] = joined
+            if assign(idx + 1):
+                return True
+            blocks[b].pop()
+            block_adj[b], common[b] = saved
+        if len(blocks) < d:
+            blocks.append([verts[v]])
+            block_adj.append(adj[v])
+            common.append(oracle._common(blocks[-1]))
+            if assign(idx + 1):
+                return True
+            blocks.pop()
+            block_adj.pop()
+            common.pop()
+        return False
+
+    return [list(b) for b in blocks] if assign(len(pre)) else None
+
+
+def _with_join_count(search, oracle, *args):
+    """``search(oracle, *args)`` and the number of ``_join`` calls it made."""
+    calls = 0
+
+    def counting(*join_args):
+        nonlocal calls
+        calls += 1
+        return PartOracle._join(oracle, *join_args)
+
+    oracle._join = counting
+    try:
+        return search(oracle, *args), calls
+    finally:
+        del oracle._join
+
+
+def test_forward_check_finds_the_uncut_cover():
+    """``_exists_cover`` with its forward check against the uncut search, for
+    each cover size tried: the same blocks (or the same None), no more
+    ``_join`` calls, and every cover verified exactly.  On the benchmark's
+    games and fam(2,3) the d that ``exact_dimension`` tries: from the clique
+    bound up to the first cover found (past it the uncut search on fam(2,3)
+    runs millions of joins).  On random 6-7-player games, in both cover
+    directions, every d below the greedy cover, so games whose bounds meet
+    still run the search."""
+    hard = [
+        build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))),
+        losing_witness_family(3, 2)[0],
+        losing_witness_family(2, 3)[0],
+    ]
+    rng = random.Random(79)
+    small = []
+    for _ in range(40):
+        n = rng.randint(6, 7)
+        small.append(make_game_from_masks(n, oracles.random_game_masks(rng, n)))
+    cases = [(g, "lose", True) for g in hard]
+    cases += [(g, mode, False) for g in small for mode in ("lose", "win")]
+    outcomes = set()
+    for g, mode, as_searched in cases:
+        verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+        if len(verts) < 2:
+            continue
+        oracle = PartOracle(g, mode)
+        adj = _graph_on(verts, oracle)
+        clique = dimension._clique(adj, WIDE.clique_exact)
+        upper = len(dimension._greedy_cover(oracle, verts, adj))
+        runs = [(d, clique) for d in range(len(clique), upper)]
+        if not as_searched:
+            # an empty seed opens every block in the search, so the cut
+            # also meets states with fewer than d blocks open
+            runs = [(d, seed) for d in range(1, upper) for seed in (clique, [])]
+        for d, seed in runs:
+            found, cut_calls = _with_join_count(
+                dimension._exists_cover, oracle, verts, adj, d, seed, WIDE.max_nodes
+            )
+            want, uncut_calls = _with_join_count(_exists_cover_reference, oracle, verts, adj, d, seed)
+            assert (found is None) == (want is None), (g, mode, d, seed)
+            assert cut_calls <= uncut_calls, (g, mode, d, seed)
+            outcomes.add(found is None)
+            if found is not None:
+                assert [masks for masks, _ in found] == want, (g, mode, d, seed)
+                _check_cover(tuple(rep for _, rep in found), verts, oracle._fixed_masks, mode)
+                if as_searched:
+                    break
+    assert outcomes == {True, False}
 
 
 def test_float_pass_changes_no_dimension(monkeypatch):
