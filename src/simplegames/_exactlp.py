@@ -107,9 +107,6 @@ class LPResult:
     def __eq__(self, other) -> bool:
         return isinstance(other, LPResult) and self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 class RowBlock:
     """Leading integer rows shared by many systems, normalised to ``<=``
@@ -223,9 +220,9 @@ class LinearSystem:
 
     # -- solving -------------------------------------------------------------
 
-    def solve(self, *, force_exact: bool = False) -> LPResult:
+    def solve(self) -> LPResult:
         leq = self._leq_rows()
-        if not force_exact and _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
+        if _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
             res = self._solve_float(leq)
             if res is not None:
                 return res

@@ -1,36 +1,9 @@
-"""Dimension machinery: intersection representations, bounds, exact search.
+"""Dimension and codimension as minimum covers of an antichain by separable sets.
 
-A game equals an intersection of ``d`` weighted games exactly when its
-maximal losing coalitions can be covered by ``d`` *separable* subsets: sets
-S for which one weighted game wins every winning coalition while losing all
-of S.  (Each part of an intersection must win all of W; every maximal losing
-coalition must lose in some part; with nonnegative weights a part that loses
-S also loses everything below S; conversely the witnesses of a cover
-intersect back to the game.)  Dimension is therefore a minimum set cover
-with an exact feasibility oracle.  After its caches, the oracle tries a
-closed-form witness, the sum of the one-coalition parts of the queried set
-checked in integers against the other side of the game, and runs the exact
-LP only when that fails:
-
-* lower bounds: a clique of pairwise-inseparable maximal losing coalitions
-  (no part can lose two inseparable ones), plus an odd-cycle test on the
-  same graph, since any cover induces a proper colouring;
-* upper bounds: one part per maximal losing coalition, improved by a greedy
-  feasibility-preserving cover;
-* exact value: iterative-deepening branch and bound over block assignments,
-  memoised and pruned by the incompatibility graph, with forward checking
-  (no branch is entered once a coalition still to place conflicts with
-  every one of the d blocks).
-
-The union-side quantity (codimension: minimum number of weighted games whose
-union is the game) is the same cover problem with roles swapped: subsets of
-minimal winning coalitions that one part can win while staying inside the
-game.  ``codimension`` computes it on the dual game; ``codimension_direct``
-runs the swapped cover on the game itself.
-
-Pair verdicts in symmetric games are cached per orbit: swapping equally
-desirable players is a game automorphism, so a pair's verdict depends only
-on the class-count profiles of the two coalitions and of their intersection.
+README "How dimension is computed" gives the reduction to a set cover, the
+bounds, the exact search and the oracle's query order.  ``codimension``
+runs the cover on the dual game; ``codimension_direct`` runs the swapped
+cover (subsets of W_min that one part can win) on the game itself.
 """
 
 from __future__ import annotations
@@ -54,8 +27,6 @@ from .core import (
 )
 from .hierarchical import HierarchicalSpec, Kind
 from .lpsep import WeightedRep, _incidence_rows, _primitive, _separate, threshold_table
-
-_ORBIT_MEMO_MAX_N = MAX_TABLE_PLAYERS
 
 
 class BudgetExceeded(RuntimeError):
@@ -179,44 +150,14 @@ class PartOracle:
     ``win``: can one part win a given subset of W_min while losing every
     maximal losing coalition of the game?
 
-    Queries run through (in order): the orbit cache keyed by class-count
-    profiles (pairs only), then ``_index``.  ``_index`` tries the stored
-    witnesses, then ``_new_index`` tries the sets found inseparable, the
-    closed form (the sum of the queried coalitions' one-coalition parts,
-    ``_summed_part``, kept if an integer weight sum per coalition of the
-    fixed side accepts it), and finally the exact separation LP of
-    ``lpsep``.  A pair goes through the same steps with the capped
-    length-2 swap scan of ``certificates`` between them: the stored
-    witnesses, the swap scan, then ``_new_index``.  The game's side of
-    that LP is built once, here (its integer ``<=`` rows at construction,
-    their float copy on the first float solve, their transposed view on
-    the first exact solve), so an LP normalises and transposes only the
-    queried coalitions.  Every witness found, by the closed form or an LP,
-    is stored, and every set the LP finds inseparable is recorded;
-    ``lp_calls`` counts the LPs alone.  A feasible set needs no memo: the
-    first stored witness handling it never changes, because later
-    witnesses get higher indices.
-
-    Witnesses are kept as integers: the LP's integer point, or the closed
-    form, divided by its gcd gives coprime weights and quota (for an LP the
-    same as ``lpsep``'s canonical form).  A :class:`WeightedRep` is built
-    only when a witness is handed out, by ``separable_set`` or for a block
-    of a cover.
-
-    Stored witnesses are indexed per coalition: each queried coalition keeps
-    an int bitset of the witnesses that handle it (lose it in ``lose`` mode,
-    win it in ``win`` mode), filled with one integer weight sum per witness
-    when the coalition is first queried and extended whenever a new witness
-    is stored.  A set is handled by the witnesses in the AND of its
-    members' bitsets; the lowest set bit is the first witness stored that
-    handles it.  The cover search keeps that AND per block (``_join``), so
-    trying one more coalition in a block costs one AND.
-
-    In complete games a coalition's class-count profile is one integer
-    (mixed radix over the class sizes), memoised per coalition; a pair's
-    orbit key combines the profiles of both coalitions and of their
-    intersection.  ``_incompatible_rows`` builds the pair graph from these
-    keys and calls ``pair_compatible`` only where the orbit cache misses.
+    Queries run in the order README "How dimension is computed" gives: the
+    orbit cache (pairs in complete games), the stored witnesses, the swap
+    scan (pairs), the closed form, then the exact LP.  Each queried
+    coalition keeps a bitset of the stored witnesses handling it (losing it
+    in ``lose`` mode, winning it in ``win`` mode); a set is handled by the
+    AND of its members' bitsets, whose lowest bit is the first witness
+    stored for it.  Witnesses are coprime integer weights and quota, made a
+    :class:`WeightedRep` only when handed out.  ``lp_calls`` counts the LPs.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
@@ -227,7 +168,6 @@ class PartOracle:
         # subsets of L_max, lose L_max when winning subsets of W_min
         self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
         self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"), g.n + 1)
-        self._inseparable: set[frozenset[int]] = set()  # sets answered None
         self._pair_orbit: dict[int, bool] | None = None
         self._codes: dict[int, int] = {}
         # stored witnesses as coprime integer weights and quota
@@ -235,7 +175,7 @@ class PartOracle:
         self._handled_by: dict[int, int] = {}
         self._members: dict[int, list[int]] = {}  # players of each queried coalition
         self.lp_calls = 0
-        if g.n <= _ORBIT_MEMO_MAX_N and desirability.is_complete(g):
+        if g.n <= MAX_TABLE_PLAYERS and desirability.is_complete(g):
             partition = desirability.equivalence_classes(g)
             self._radix: list[tuple[int, int]] = []
             self._span = 1  # number of distinct profiles
@@ -323,17 +263,9 @@ class PartOracle:
 
     def _new_index(self, masks: frozenset[int]) -> int | None:
         """For ``masks`` that no stored witness handles: index of the
-        closed-form or LP witness stored for them, or None if inseparable
-        (recorded, so asking again runs no LP)."""
-        if masks in self._inseparable:
-            return None
+        closed-form or LP witness stored for them, or None if inseparable."""
         found = self._closed_form(masks)
-        if found is not None:
-            return self._store(*found)
-        k = self._lp(masks)
-        if k is None:
-            self._inseparable.add(masks)
-        return k
+        return self._lp(masks) if found is None else self._store(*found)
 
     # -- queries -------------------------------------------------------------
 
@@ -362,11 +294,19 @@ class PartOracle:
             return False
         return self._new_index(pair) is not None
 
+    def _open(self, mask: int) -> int:
+        """Bitset of the stored witnesses handling ``mask``, the first
+        coalition of a cover block; if none does, ``_new_index`` stores its
+        closed-form part first."""
+        if not self._handled(mask) and self._new_index(frozenset((mask,))) is None:
+            raise AssertionError("singleton blocks are always feasible")
+        return self._handled(mask)
+
     def _join(self, masks: list[int], common: int, mask: int) -> int:
         """Bitset of stored witnesses to keep for ``masks`` plus ``mask``;
         0 if no part handles them together.
 
-        ``common`` is the bitset of ``masks`` (``-1`` when empty).  It may
+        ``common`` is the bitset of the nonempty block ``masks``.  It may
         miss witnesses stored since it was taken; those sit above all of its
         bits, so a nonzero AND with ``mask``'s bitset still starts at the
         first stored witness handling the whole set.  Only when that AND is
@@ -528,9 +468,7 @@ def _greedy_cover(
     while uncovered:
         seed = uncovered[0]
         block, masks, block_adj = [seed], [verts[seed]], adj[seed]
-        common = oracle._join([], -1, verts[seed])
-        if not common:
-            raise AssertionError("singleton blocks are always feasible")
+        common = oracle._open(verts[seed])
         for e in uncovered[1:]:
             if block_adj >> e & 1:
                 continue
@@ -576,7 +514,7 @@ def _exists_cover(
         rest[i] = rest[i + 1] | 1 << order[i]
     blocks: list[list[int]] = [[verts[v]] for v in pre]
     block_adj: list[int] = [adj[v] for v in pre]
-    common: list[int] = [oracle._common(b) for b in blocks]
+    common: list[int] = [oracle._open(verts[v]) for v in pre]
     nodes = 0
 
     def stranded(idx: int) -> bool:
@@ -614,7 +552,7 @@ def _exists_cover(
         if len(blocks) < d:
             blocks.append([verts[v]])
             block_adj.append(adj[v])
-            common.append(oracle._common(blocks[-1]))
+            common.append(oracle._open(verts[v]))
             if not stranded(idx + 1) and assign(idx + 1):
                 return True
             blocks.pop()
@@ -624,8 +562,6 @@ def _exists_cover(
 
     if not assign(len(pre)):
         return None
-    if not all(common):
-        raise AssertionError("a cover block lost its stored witnesses")
     return [(b, oracle._rep(_lowest(c))) for b, c in zip(blocks, common)]
 
 
@@ -681,20 +617,17 @@ def _cover_report(
     if lower > upper:
         raise AssertionError("bound inversion: oracle inconsistency")
     exact: int | None = None
-    if lower == upper:
-        exact = upper
-    else:
-        try:
-            for d in range(lower, upper):
-                found = _exists_cover(oracle, verts, adj, d, clique, budget.max_nodes)
-                if found is not None:
-                    exact = upper = d
-                    blocks = found
-                    break
-            else:
-                exact = upper
-        except BudgetExceeded as exc:
-            notes.append(str(exc))
+    try:
+        for d in range(lower, upper):
+            found = _exists_cover(oracle, verts, adj, d, clique, budget.max_nodes)
+            if found is not None:
+                exact = upper = d
+                blocks = found
+                break
+        else:
+            exact = upper
+    except BudgetExceeded as exc:
+        notes.append(str(exc))
     witness = IntersectionRep(g.n, tuple(rep for _, rep in blocks))
     _check_cover(witness.parts, verts, oracle._fixed_masks, mode)
     witness_lower = tuple(Coalition(verts[v], g.n) for v in clique)

@@ -144,19 +144,18 @@ def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
 
 
 def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int]) -> WeightedRep | None:
-    win = antichain_reduce(win_masks)
-    lose = _inclusion_maximal(lose_masks, n)
+    win, lose = list(win_masks), list(lose_masks)
     for y in lose:
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
-    res = _separate(RowBlock(_incidence_rows(win, n, True), n + 1), _incidence_rows(lose, n, False))
+    res = separable_result(n, win, lose)[0]
     return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
 
 
 def separable_result(
     n: int, win_masks: Iterable[int], lose_masks: Iterable[int]
 ) -> tuple[LPResult, list[int], list[int]]:
-    """Raw exact LP outcome for the separation system.
+    """Raw LP outcome for the separation system.
 
     Returns ``(result, win_rows, lose_rows)`` where the row lists are the
     reduced families actually used, ordered as in the system (win rows, then
@@ -166,7 +165,7 @@ def separable_result(
     win = antichain_reduce(win_masks)
     lose = _inclusion_maximal(lose_masks, n)
     fixed = RowBlock(_incidence_rows(win, n, True), n + 1)
-    return _separate(fixed, _incidence_rows(lose, n, False), force_exact=True), win, lose
+    return _separate(fixed, _incidence_rows(lose, n, False)), win, lose
 
 
 def _separation_rows(vectors: Iterable[Sequence[int]], win: bool) -> list[_Row]:
@@ -178,7 +177,7 @@ def _incidence_rows(masks: Iterable[int], n: int, win: bool) -> list[_Row]:
     return _separation_rows((_incidence(m, n) for m in masks), win)
 
 
-def _separate(fixed: RowBlock, variable: list[_Row], force_exact: bool = False) -> LPResult:
+def _separate(fixed: RowBlock, variable: list[_Row]) -> LPResult:
     """Solve the rows of ``fixed``, then ``variable``, then ``q >= 1``.
 
     A row is ``w.v - q >= 0`` (win side) or ``w.v - q <= -1`` (lose side)
@@ -189,7 +188,7 @@ def _separate(fixed: RowBlock, variable: list[_Row], force_exact: bool = False) 
     """
     q_row = ((0,) * (fixed.width - 1) + (1,), GEQ, 1)  # weights, then the quota
     system = LinearSystem(fixed.width, fixed.rows + variable + [q_row], fixed)
-    return system.solve(force_exact=force_exact)
+    return system.solve()
 
 
 def _incidence(mask: int, n: int) -> list[int]:
@@ -243,7 +242,7 @@ def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
     win, lose = desirability._class_antichains(g)
     m = len(part.sizes)
     fixed = RowBlock(_separation_rows(win, True), m + 1)
-    res = _separate(fixed, _separation_rows(lose, False), force_exact=True)
+    res = _separate(fixed, _separation_rows(lose, False))
     if not res.feasible:
         return None
     return _canonical_rep([res.nums[part.class_of[p]] for p in range(g.n)] + [res.nums[m]])

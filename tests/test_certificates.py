@@ -22,6 +22,9 @@ from simplegames import (
     verify_certificate,
     verify_trading_transform,
 )
+from simplegames.certificates import _certificate_from_farkas
+from simplegames.core import SimpleGame, maximal_losing_masks
+from simplegames.lpsep import separable_result
 
 
 def tt(n, pre, post):
@@ -266,6 +269,27 @@ class TestFindCertificate:
         cert = find_certificate(g, 2)
         assert cert is not None and cert.length == 2
         assert verify_certificate(g, cert)
+
+
+def test_farkas_route_certifies_every_unweighted_five_player_game():
+    """The Farkas multipliers of every infeasible five-player separation LP
+    give a certificate that ``verify_certificate`` accepts.  On these games
+    ``find_certificate`` always stops at a length-2 certificate first, so
+    the route is run directly."""
+    lengths = set()
+    unweighted = 0
+    for table in oracles.monotone_tables(5):
+        g = SimpleGame._from_table(5, table)
+        if is_weighted(g) is not None:
+            continue
+        unweighted += 1
+        res, win_rows, lose_rows = separable_result(g.n, g.minwin_masks, maximal_losing_masks(g))
+        assert not res.feasible
+        cert = _certificate_from_farkas(g, res.nums, win_rows, lose_rows)
+        assert cert is not None and verify_certificate(g, cert), g.minwin_masks
+        lengths.add(cert.length)
+    assert unweighted == 4294
+    assert max(lengths) > 2
 
 
 @pytest.mark.parametrize("game, route", [

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from simplegames.cli import (
+    _SCENARIOS,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
@@ -179,6 +180,12 @@ class TestReproCommand:
         assert main(["repro", "sec4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    @pytest.mark.parametrize("name", sorted(_SCENARIOS))
+    def test_scenario_passes(self, name, capsys):
+        assert main(["repro", name]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
 
 
 def test_os3_source(capsys):

