@@ -94,9 +94,7 @@ def formula_game(f: BoolFormula, n: int | None = None) -> SimpleGame:
     players = formula_players(f)
     if n is not None and n != players:
         raise InvalidGameError(f"formula is over {players} players, asked for {n}")
-    game = SimpleGame._from_table(players, _formula_table(f, players))
-    game.minwin_masks
-    return game
+    return SimpleGame._from_table(players, _formula_table(f, players))
 
 
 def formula_size(f: BoolFormula) -> int:

@@ -198,10 +198,10 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
             )
             if cert is not None:
                 return cert
-    res, win_rows, lose_rows = separable_result(g.n, g.minwin_masks, maxlose)
+    res = separable_result(g.n, g.minwin_masks, maxlose)
     if res.feasible:
         raise AssertionError("weightedness check and separation LP disagree")
-    cert = _certificate_from_farkas(g, res.nums, win_rows, lose_rows)
+    cert = _certificate_from_farkas(g, res.nums, g.minwin_masks, maxlose)
     if cert is not None and cert.length <= max_len:
         return cert
     return None
@@ -231,8 +231,8 @@ def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransf
 def _certificate_from_farkas(
     g: SimpleGame,
     farkas: Sequence[int],
-    win_rows: list[int],
-    lose_rows: list[int],
+    win_rows: Sequence[int],
+    lose_rows: Sequence[int],
 ) -> TradingTransform | None:
     """Assemble a certificate from exact multipliers of the infeasible LP,
     given as integer numerators over a common positive denominator.

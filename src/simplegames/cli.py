@@ -492,12 +492,7 @@ def _all_monotone_games(n: int) -> list[SimpleGame]:
             for f1 in tables
             if f0 & ~f1 == 0
         ]
-    out = []
-    for t in tables:
-        game = SimpleGame._from_table(n, t)
-        game.minwin_masks
-        out.append(game)
-    return out
+    return [SimpleGame._from_table(n, t) for t in tables]
 
 
 def _scenario_codim(results) -> None:

@@ -149,23 +149,13 @@ def maxlose_from_table(t: int, n: int) -> list[int]:
     return _bits(ml)
 
 
-@functools.lru_cache(maxsize=None)
-def _byte_reverse_table() -> bytes:
-    return bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def complement_reversed_table(t: int, n: int) -> int:
-    """Table u with u[X] = t[~X]: reverse the 2**n-bit string of t."""
-    size = 1 << n
-    if size < 8:
-        out = 0
-        for x in range(size):
-            if t >> x & 1:
-                out |= 1 << (size - 1 - x)
-        return out
-    rev = _byte_reverse_table()
-    raw = t.to_bytes(size // 8, "little")
-    return int.from_bytes(bytes(rev[b] for b in raw), "big")
+    """Table u with u[X] = t[~X]: reverse the 2**n-bit string of t.
+
+    The guard bit at position 2**n keeps t's leading zeros in its binary
+    digits; the slice drops it (and the ``0b`` prefix) while reversing.
+    """
+    return int(bin(t | 1 << (1 << n))[:2:-1], 2)
 
 
 # Above this many bits, clearing one bit of ``t`` at a time (a pass over the
@@ -212,7 +202,9 @@ class SimpleGame:
         self._classes = None  # equivalence classes of a complete game
         self._weighted = False  # weighted representation, or None
 
-    # Internal: both constructors hand in already-canonical data.
+    # Internal: the masks must form an antichain; this sorts them into
+    # canonical (cardinality, mask) order and drops repeats.  Model-built
+    # games get their order here.
     @classmethod
     def _from_minwin_masks(cls, n: int, masks: Iterable[int]) -> "SimpleGame":
         canon = tuple(sorted(set(masks), key=lambda m: (_popcount(m), m)))
@@ -330,9 +322,7 @@ def dual(g: SimpleGame) -> SimpleGame:
     """The dual game: X wins iff the complement of X loses in ``g``."""
     if g.n <= MAX_TABLE_PLAYERS:
         t = complement_reversed_table(g.table, g.n) ^ _full_table(g.n)
-        out = SimpleGame._from_table(g.n, t)
-        out.minwin_masks  # force canonical antichain
-        return out
+        return SimpleGame._from_table(g.n, t)
     return SimpleGame._from_minwin_masks(g.n, _minimal_transversals(g.minwin_masks, g.n))
 
 

@@ -78,9 +78,7 @@ def intersect_games(parts: list[WeightedRep] | tuple[WeightedRep, ...], n: int) 
     table = (1 << (1 << n)) - 1
     for part in rep.parts:
         table &= threshold_table(part.weights, part.quota, n)
-    game = SimpleGame._from_table(n, table)
-    game.minwin_masks
-    return game
+    return SimpleGame._from_table(n, table)
 
 
 def _trivial_all_win_rep(n: int) -> WeightedRep:

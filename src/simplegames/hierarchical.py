@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import MAX_PLAYERS, Coalition, InvalidGameError, SimpleGame, make_game_from_masks
+from .core import MAX_PLAYERS, Coalition, InvalidGameError, SimpleGame
 from .desirability import Model, _model_antichains
 
 _MODEL_SPACE_LIMIT = 4_000_000
@@ -90,7 +90,12 @@ def model_winning(spec: HierarchicalSpec, model: Model) -> bool:
 
 def _game_of_models(n_vec: tuple[int, ...], wins: Callable[[Model], bool]) -> SimpleGame:
     """Game over ``sum(n_vec)`` players in contiguous classes whose winning
-    coalitions are those with a winning model under the monotone ``wins``."""
+    coalitions are those with a winning model under the monotone ``wins``.
+
+    The coalitions of the minimal winning models are already the game's
+    minimal winning coalitions, so they need no antichain reduction: removing
+    a member gives a model one below a minimal one, which loses.
+    """
     if math.prod(s + 1 for s in n_vec) > _MODEL_SPACE_LIMIT:
         raise InvalidGameError("model space too large to enumerate")
     classes = [range(lo, hi) for lo, hi in _class_ranges(n_vec)]
@@ -102,7 +107,7 @@ def _game_of_models(n_vec: tuple[int, ...], wins: Callable[[Model], bool]) -> Si
             for players, count in zip(classes, model)
         ]
         masks.extend(sum(parts) for parts in itertools.product(*per_class))
-    return make_game_from_masks(sum(n_vec), masks)
+    return SimpleGame._from_minwin_masks(sum(n_vec), masks)
 
 
 def build(spec: HierarchicalSpec) -> SimpleGame:
@@ -251,8 +256,8 @@ def build_tripartite(n: tuple[int, int, int], k: tuple[int, int, int]) -> Simple
     k1, k2, k3 = k
     if not (k1 < k3 and k2 < k3 and n1 >= k1 and n2 > k2 - k1 and n3 > k3 - k2):
         raise InvalidGameError(f"tripartite constraints violated for n={n}, k={k}")
-    if n1 + n2 + n3 > MAX_PLAYERS:
-        raise InvalidGameError(f"total players {n1 + n2 + n3} exceeds cap {MAX_PLAYERS}")
+    if not 1 <= n1 + n2 + n3 <= MAX_PLAYERS:
+        raise InvalidGameError(f"total players {n1 + n2 + n3} outside 1..{MAX_PLAYERS}")
     return _game_of_models(
         n, lambda u: u[0] >= k1 or (u[0] + u[1] >= k2 and u[0] + u[1] + u[2] >= k3)
     )

@@ -128,7 +128,13 @@ def separable(
     Coalitions over another player count and masks with members outside
     ``0..n-1`` raise :class:`InvalidGameError`.
     """
-    return separable_masks(n, _checked_masks(n, must_win), _checked_masks(n, must_lose))
+    win = antichain_reduce(_checked_masks(n, must_win))
+    lose = _checked_masks(n, must_lose)
+    for y in lose:
+        if any(m & ~y == 0 for m in win):
+            return None  # a forbidden coalition is forced winning
+    res = separable_result(n, win, _inclusion_maximal(lose, n))
+    return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
 
 
 def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
@@ -143,29 +149,19 @@ def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
     return masks
 
 
-def separable_masks(n: int, win_masks: Iterable[int], lose_masks: Iterable[int]) -> WeightedRep | None:
-    win, lose = list(win_masks), list(lose_masks)
-    for y in lose:
-        if any(m & ~y == 0 for m in win):
-            return None  # a forbidden coalition is forced winning
-    res = separable_result(n, win, lose)[0]
-    return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
+def separable_result(n: int, win_masks: Iterable[int], lose_masks: Iterable[int]) -> LPResult:
+    """Raw LP outcome of the separation system over ``n`` players.
 
-
-def separable_result(
-    n: int, win_masks: Iterable[int], lose_masks: Iterable[int]
-) -> tuple[LPResult, list[int], list[int]]:
-    """Raw LP outcome for the separation system.
-
-    Returns ``(result, win_rows, lose_rows)`` where the row lists are the
-    reduced families actually used, ordered as in the system (win rows, then
-    lose rows, then the quota row).  Certificate search turns the Farkas
-    multipliers of an infeasible system into a trading transform.
+    The rows are one win row per mask of ``win_masks``, then one lose row
+    per mask of ``lose_masks``, in the order given, then the quota row.
+    Nothing is reduced here: callers pass antichains, such as a game's own
+    minimal winning and maximal losing coalitions.  Extra rows would only
+    make the LP larger, never change its verdict.  Certificate search reads
+    the Farkas multipliers of an infeasible system against the same two
+    families to build a trading transform.
     """
-    win = antichain_reduce(win_masks)
-    lose = _inclusion_maximal(lose_masks, n)
-    fixed = RowBlock(_incidence_rows(win, n, True), n + 1)
-    return _separate(fixed, _incidence_rows(lose, n, False)), win, lose
+    fixed = RowBlock(_incidence_rows(win_masks, n, True), n + 1)
+    return _separate(fixed, _incidence_rows(lose_masks, n, False))
 
 
 def _separation_rows(vectors: Iterable[Sequence[int]], win: bool) -> list[_Row]:
@@ -230,7 +226,8 @@ def _is_weighted_uncached(g: SimpleGame) -> WeightedRep | None:
         part = desirability.equivalence_classes(g)
         if math.prod(s + 1 for s in part.sizes) <= _MODEL_SPACE_LIMIT:
             return _symmetric_weighted(g, part)
-    return separable_masks(g.n, g.minwin_masks, maximal_losing_masks(g))
+    res = separable_result(g.n, g.minwin_masks, maximal_losing_masks(g))
+    return _canonical_rep(res.nums[: g.n + 1]) if res.feasible else None
 
 
 def _symmetric_weighted(g: SimpleGame, part) -> WeightedRep | None:
@@ -305,9 +302,7 @@ def weighted_game(rep: WeightedRep, n: int | None = None) -> SimpleGame:
     if n != rep.n:
         raise InvalidGameError("player count mismatch")
     table = threshold_table(rep.weights, rep.quota, n)
-    game = SimpleGame._from_table(n, table)
-    game.minwin_masks
-    return game
+    return SimpleGame._from_table(n, table)
 
 
 def threshold_table(weights: Sequence[Fraction], quota: Fraction, n: int) -> int:

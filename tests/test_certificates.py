@@ -283,9 +283,10 @@ def test_farkas_route_certifies_every_unweighted_five_player_game():
         if is_weighted(g) is not None:
             continue
         unweighted += 1
-        res, win_rows, lose_rows = separable_result(g.n, g.minwin_masks, maximal_losing_masks(g))
+        maxlose = maximal_losing_masks(g)
+        res = separable_result(g.n, g.minwin_masks, maxlose)
         assert not res.feasible
-        cert = _certificate_from_farkas(g, res.nums, win_rows, lose_rows)
+        cert = _certificate_from_farkas(g, res.nums, g.minwin_masks, maxlose)
         assert cert is not None and verify_certificate(g, cert), g.minwin_masks
         lengths.add(cert.length)
     assert unweighted == 4294

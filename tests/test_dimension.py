@@ -32,7 +32,7 @@ from simplegames import _exactlp, dimension
 from simplegames.certificates import _swap_split
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.dimension import PartOracle, _check_cover, _graph_on
-from simplegames.lpsep import _canonical_rep, separable_masks, threshold_table
+from simplegames.lpsep import _canonical_rep, separable, threshold_table
 
 WIDE = Budget(max_lmax=200, clique_exact=250)
 
@@ -380,7 +380,7 @@ def test_separation_routes_agree_on_random_games():
         minwin, maxlose = list(g.minwin_masks), maximal_losing_masks(g)
         want = oracles.fm_weighted(n, minwin, maxlose)
         assert (is_weighted(g) is not None) == want
-        assert (separable_masks(n, minwin, maxlose) is not None) == want
+        assert (separable(n, minwin, maxlose) is not None) == want
         assert (PartOracle(g, "lose").separable_set(frozenset(maxlose)) is not None) == want
         for mode, verts in (("lose", maxlose), ("win", minwin)):
             oracle, lp_only = PartOracle(g, mode), PartOracle(g, mode)

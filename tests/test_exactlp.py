@@ -418,3 +418,52 @@ def test_failed_integer_check_raises_under_python_O(sense, rhs, message):
     )
     assert proc.returncode == 1
     assert f"AssertionError: {message}" in proc.stderr
+
+
+def _run_isolated(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on the library's source."""
+    import simplegames
+
+    src = Path(simplegames.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_library_runs_with_numpy_and_scipy_blocked():
+    """numpy and scipy only feed the float pre-pass: importing the library
+    loads neither, and with both blocked every LP goes the exact route
+    (conj444 is the game whose LPs are large enough to try the pre-pass)."""
+    loaded = _run_isolated(
+        """
+        import sys
+        import simplegames
+        print(sorted({"numpy", "scipy"} & set(sys.modules)))
+        """
+    )
+    assert loaded.split() == ["[]"]
+    out = _run_isolated(
+        """
+        import sys
+        sys.modules["numpy"] = sys.modules["scipy"] = None
+        from itertools import combinations
+        from simplegames import (
+            Budget, Coalition, HierarchicalSpec, Kind, build, exact_dimension,
+            intersect_games, is_weighted, make_game,
+        )
+
+        g = build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7)))
+        r = exact_dimension(g, Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000))
+        print(r.lower, r.upper, r.exact, intersect_games(r.witness_upper.parts, g.n) == g)
+        majority = make_game(5, [Coalition.of(c, 5) for c in combinations(range(5), 3)])
+        rep = is_weighted(majority)
+        print(rep.quota, *rep.weights)
+        """
+    )
+    assert out.splitlines() == ["2 2 2 True", "3 1 1 1 1 1"]

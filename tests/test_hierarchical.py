@@ -14,6 +14,7 @@ from simplegames import (
     equivalence_classes,
     is_complete,
     losing_witness_family,
+    make_game_from_masks,
     shift_maximal_losing,
     shift_maximal_losing_models,
     validate_partiteness,
@@ -255,6 +256,74 @@ class TestTripartite:
             c3 = bin(mask & 0b1100000).count("1")
             want = c1 >= 2 or (c1 + c2 >= 3 and c1 + c2 + c3 >= 4)
             assert g.wins_mask(mask) == want
+
+
+def _random_disjunctive_params(rng, max_players=12, m_max=4):
+    """Class sizes and strictly increasing thresholds, some past reach."""
+    while True:
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, m_max))]
+        if sum(sizes) <= max_players:
+            break
+    k = [rng.randint(1, sizes[0] + 1)]
+    for _ in sizes[1:]:
+        k.append(k[-1] + rng.randint(1, 3))
+    return tuple(sizes), tuple(k)
+
+
+def _model_table(n_vec, wins):
+    """Truth table of "the coalition's class-count model wins", coalition by
+    coalition."""
+    ranges = hierarchical._class_ranges(n_vec)
+    table = 0
+    for mask in range(1 << sum(n_vec)):
+        model = tuple(bin(mask >> lo & ((1 << (hi - lo)) - 1)).count("1") for lo, hi in ranges)
+        if wins(model):
+            table |= 1 << mask
+    return table
+
+
+class TestModelBuiltAntichain:
+    """A model-built game's coalitions of minimal winning models are already
+    its minimal winning coalitions, in canonical order: a second reduction
+    changes nothing."""
+
+    TRIPARTITE = (
+        ((2, 2, 2), (1, 2, 3)),
+        ((2, 2, 2), (2, 2, 3)),
+        ((2, 3, 2), (2, 3, 4)),
+        ((3, 3, 4), (2, 4, 6)),
+        ((1, 4, 3), (1, 3, 5)),
+        ((4, 4, 4), (3, 5, 8)),
+    )
+
+    @staticmethod
+    def assert_own_antichain(g):
+        assert g.minwin_masks == make_game_from_masks(g.n, g.minwin_masks).minwin_masks
+
+    def test_conjunctive(self):
+        rng = random.Random(37)
+        for _ in range(25):
+            sizes, k = oracles.random_conjunctive_params(rng, max_players=12, allow_dummies=True)
+            self.assert_own_antichain(build(conj(sizes, k)))
+
+    def test_disjunctive_matches_model_predicate(self):
+        rng = random.Random(38)
+        for _ in range(25):
+            spec = disj(*_random_disjunctive_params(rng))
+            g = build(spec)
+            self.assert_own_antichain(g)
+            assert g.table == _model_table(spec.n_vec, lambda u: hierarchical.model_winning(spec, u))
+
+    def test_tripartite_matches_model_predicate(self):
+        for n, (k1, k2, k3) in self.TRIPARTITE:
+            g = build_tripartite(n, (k1, k2, k3))
+            self.assert_own_antichain(g)
+            want = _model_table(n, lambda u: u[0] >= k1 or (u[0] + u[1] >= k2 and sum(u) >= k3))
+            assert g.table == want, (n, (k1, k2, k3))
+
+    def test_layered_family(self):
+        for k, m in ((2, 2), (3, 2), (2, 3), (4, 2), (2, 4), (3, 3), (5, 2)):
+            self.assert_own_antichain(losing_witness_family(k, m)[0])
 
 
 class TestDualityStructure:

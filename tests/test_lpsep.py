@@ -12,17 +12,19 @@ from simplegames import (
     RoughRep,
     WeightedRep,
     build,
+    find_certificate,
     is_roughly_weighted,
     is_weighted,
     losing_witness_family,
     make_game,
     make_game_from_masks,
     separable,
+    verify_certificate,
     verify_representation,
     weighted_game,
 )
-from simplegames.core import TableSizeError, maximal_losing, maximal_losing_masks
-from simplegames.lpsep import separable_masks, threshold_table
+from simplegames.core import MAX_TABLE_PLAYERS, TableSizeError, maximal_losing, maximal_losing_masks
+from simplegames.lpsep import threshold_table
 
 
 class TestSeparable:
@@ -66,8 +68,8 @@ class TestSeparable:
                 continue
             big = rng.sample(lose, min(len(lose), rng.randint(2, 4)))
             small = big[: len(big) - 1]
-            if separable_masks(n, g.minwin_masks, big) is not None:
-                assert separable_masks(n, g.minwin_masks, small) is not None
+            if separable(n, g.minwin_masks, big) is not None:
+                assert separable(n, g.minwin_masks, small) is not None
 
 
 class TestIsWeighted:
@@ -88,6 +90,18 @@ class TestIsWeighted:
     def test_un_council(self, un_council):
         rep = is_weighted(un_council)
         assert rep is not None and verify_representation(un_council, rep)
+
+    def test_full_lp_route_past_the_table_gate(self):
+        """Past the table gate there are no desirability classes, so the
+        separation LP over the game's own antichains decides."""
+        any_one = make_game_from_masks(22, [1 << i for i in range(22)])
+        assert any_one.n > MAX_TABLE_PLAYERS
+        rep = is_weighted(any_one)
+        assert rep is not None and verify_representation(any_one, rep)
+        pairs = make_game_from_masks(22, [0b11, 0b1100, 0b11 << 20])
+        assert is_weighted(pairs) is None
+        cert = find_certificate(pairs, 8)
+        assert cert is not None and verify_certificate(pairs, cert)
 
     def test_degenerate_games(self):
         all_win = make_game(3, [Coalition.of([], 3)])
