@@ -8,9 +8,12 @@ cover (subsets of W_min that one part can win) on the game itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Collection, Literal
+from functools import reduce
+from operator import and_
+from typing import Collection, Literal, Sequence
 
 from . import desirability
 from ._exactlp import RowBlock, _over_one_den
@@ -456,32 +459,6 @@ def kurz_napel_lower(
     return len(clique), tuple(Coalition(verts[v], g.n) for v in clique)
 
 
-def _greedy_cover(
-    oracle: PartOracle, verts: list[int], adj: list[int]
-) -> list[tuple[list[int], WeightedRep]]:
-    """Cover vertex indices with feasible blocks, growing each block by
-    feasibility-preserving augmentation in canonical order."""
-    uncovered = list(range(len(verts)))
-    blocks: list[tuple[list[int], WeightedRep]] = []
-    while uncovered:
-        seed = uncovered[0]
-        block, masks, block_adj = [seed], [verts[seed]], adj[seed]
-        common = oracle._open(verts[seed])
-        for e in uncovered[1:]:
-            if block_adj >> e & 1:
-                continue
-            joined = oracle._join(masks, common, verts[e])
-            if joined:
-                block.append(e)
-                masks.append(verts[e])
-                block_adj |= adj[e]
-                common = joined
-        covered = set(block)
-        uncovered = [e for e in uncovered if e not in covered]
-        blocks.append((block, oracle._rep(_lowest(common))))
-    return blocks
-
-
 def _exists_cover(
     oracle: PartOracle,
     verts: list[int],
@@ -491,76 +468,89 @@ def _exists_cover(
     max_nodes: int,
 ) -> list[tuple[list[int], WeightedRep]] | None:
     """Branch and bound: partition all vertices into at most d feasible
-    blocks, each returned as its coalition masks with the first stored
-    witness handling it, or prove impossibility.  Raises BudgetExceeded past
-    max_nodes.
-
-    Forward checking: once all d blocks are open, a placement after which
-    some vertex still to be placed is adjacent to every block is not
-    recursed into (nor counted as a node).  That vertex could join no
-    block, so the subtree holds no cover; the cut changes neither the order
-    of the search nor the first cover it finds.
-    """
-    nv = len(verts)
+    blocks, or prove impossibility (see :func:`_first_cover`).  The first d
+    clique members each open a block; the other vertices follow by falling
+    degree."""
     pre = seed_clique[:d]
     order = pre + sorted(
-        (v for v in range(nv) if v not in pre),
+        (v for v in range(len(verts)) if v not in pre),
         key=lambda v: (-_popcount(adj[v]), v),
     )
+    return _first_cover(oracle, verts, adj, order, len(pre), d, max_nodes)
+
+
+def _first_cover(
+    oracle: PartOracle,
+    verts: list[int],
+    adj: list[int],
+    order: Sequence[int],
+    opened: int,
+    d: int,
+    max_nodes: float,
+) -> list[tuple[list[int], WeightedRep]] | None:
+    """First partition of the vertex indices ``order`` into at most d
+    feasible blocks, each returned as its coalition masks with the first
+    stored witness handling it; None if there is none.
+
+    The first ``opened`` vertices each open a block.  Each later vertex
+    tries the open blocks in order, then a new block while fewer than d are
+    open.  Placements are kept on ``trail`` and undone by popping it, so no
+    recursion limit caps the vertex count.  The start and each placement
+    kept count one node; past ``max_nodes`` it raises BudgetExceeded.
+
+    Forward checking: once all d blocks are open, a placement after which
+    some vertex still to be placed is adjacent to every block is undone
+    without counting a node.  That vertex could join no block, so no cover
+    extends the placement; the cut changes neither the order of the search
+    nor the first cover it finds.
+    """
+    nv = len(order)
     rest = [0] * (nv + 1)  # rest[i]: bitset of the vertices at positions >= i
     for i in range(nv - 1, -1, -1):
         rest[i] = rest[i + 1] | 1 << order[i]
-    blocks: list[list[int]] = [[verts[v]] for v in pre]
-    block_adj: list[int] = [adj[v] for v in pre]
-    common: list[int] = [oracle._open(verts[v]) for v in pre]
-    nodes = 0
-
-    def stranded(idx: int) -> bool:
-        """True if all d blocks are open and a vertex at position ``idx`` or
-        later is adjacent to every one of them."""
-        if len(blocks) < d:
-            return False
-        left = rest[idx]
-        for a in block_adj:
-            left &= a
-        return left != 0
-
-    def assign(idx: int) -> bool:
-        nonlocal nodes
-        nodes += 1
+    blocks: list[list[int]] = [[verts[v]] for v in order[:opened]]
+    block_adj: list[int] = [adj[v] for v in order[:opened]]
+    common: list[int] = [oracle._open(verts[v]) for v in order[:opened]]
+    # per placement: its block, and that block's adj and common before it (0, 0 if it opened it)
+    trail: list[tuple[int, int, int]] = []
+    nodes, b = 1, 0  # b: the next block to try for the vertex at position idx
+    while True:
         if nodes > max_nodes:
             raise BudgetExceeded(f"cover search exceeded {max_nodes} nodes")
-        if idx == len(order):
-            return True
+        idx = opened + len(trail)
+        if idx == nv:
+            return [(blk, oracle._rep(_lowest(c))) for blk, c in zip(blocks, common)]
         v = order[idx]
-        for b in range(len(blocks)):
-            if block_adj[b] >> v & 1:
-                continue
-            joined = oracle._join(blocks[b], common[b], verts[v])
-            if not joined:
-                continue
+        while b < len(blocks) and (
+            block_adj[b] >> v & 1 or not (joined := oracle._join(blocks[b], common[b], verts[v]))
+        ):
+            b += 1
+        if b < len(blocks):
+            trail.append((b, block_adj[b], common[b]))
             blocks[b].append(verts[v])
-            saved = block_adj[b], common[b]
             block_adj[b] |= adj[v]
             common[b] = joined
-            if not stranded(idx + 1) and assign(idx + 1):
-                return True
-            blocks[b].pop()
-            block_adj[b], common[b] = saved
-        if len(blocks) < d:
+        elif b == len(blocks) < d:
+            trail.append((b, 0, 0))
             blocks.append([verts[v]])
             block_adj.append(adj[v])
             common.append(oracle._open(verts[v]))
-            if not stranded(idx + 1) and assign(idx + 1):
-                return True
+        if b < len(blocks) and (len(blocks) < d or not rest[idx + 1] & reduce(and_, block_adj)):
+            nodes += 1
+            b = 0
+            continue
+        if not trail:
+            return None
+        # undo the placement just made, or the last one if v found no block
+        b, saved_adj, saved_common = trail.pop()
+        blocks[b].pop()
+        if blocks[b]:
+            block_adj[b], common[b] = saved_adj, saved_common
+        else:
             blocks.pop()
             block_adj.pop()
             common.pop()
-        return False
-
-    if not assign(len(pre)):
-        return None
-    return [(b, oracle._rep(_lowest(c))) for b, c in zip(blocks, common)]
+        b += 1
 
 
 def _check_cover(
@@ -610,7 +600,8 @@ def _cover_report(
     if lower == 2 and not _is_bipartite(adj):
         lower = 3
         notes.append("odd cycle in incompatibility graph raises lower bound to 3")
-    blocks = _greedy_cover(oracle, verts, adj)
+    # the upper bound: with a block per vertex allowed nothing is undone, so first fit in index order
+    blocks = _first_cover(oracle, verts, adj, range(len(verts)), 0, len(verts), math.inf)
     upper = len(blocks)
     if lower > upper:
         raise AssertionError("bound inversion: oracle inconsistency")

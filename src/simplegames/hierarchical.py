@@ -254,10 +254,12 @@ def build_tripartite(n: tuple[int, int, int], k: tuple[int, int, int]) -> Simple
     ``|C1|+|C2|+|C3|>=k3``)."""
     n1, n2, n3 = n
     k1, k2, k3 = k
+    if min(n) < 1:
+        raise InvalidGameError(f"class sizes must be >= 1, got n={n}")
     if not (k1 < k3 and k2 < k3 and n1 >= k1 and n2 > k2 - k1 and n3 > k3 - k2):
         raise InvalidGameError(f"tripartite constraints violated for n={n}, k={k}")
-    if not 1 <= n1 + n2 + n3 <= MAX_PLAYERS:
-        raise InvalidGameError(f"total players {n1 + n2 + n3} outside 1..{MAX_PLAYERS}")
+    if n1 + n2 + n3 > MAX_PLAYERS:
+        raise InvalidGameError(f"total players {n1 + n2 + n3} exceeds cap {MAX_PLAYERS}")
     return _game_of_models(
         n, lambda u: u[0] >= k1 or (u[0] + u[1] >= k2 and u[0] + u[1] + u[2] >= k3)
     )

@@ -104,6 +104,20 @@ class TestKurzNapelLower:
         g = make_game(3, [Coalition.of([], 3)])
         assert kurz_napel_lower(g) == (1, ())
 
+    def test_odd_cycle_raises_the_lower_bound(self):
+        """The 5 maximal losing coalitions of this game form a 5-cycle in the
+        incompatibility graph: the clique bound is 2, the odd cycle makes 3."""
+        g = make_game_from_masks(5, [13, 14, 19, 22, 25])
+        verts = maximal_losing_masks(g)
+        adj = _graph_on(verts, PartOracle(g))
+        assert len(verts) == 5 and all(a.bit_count() == 2 for a in adj)
+        assert kurz_napel_lower(g)[0] == 2
+        assert not dimension._is_bipartite(adj)
+        report = exact_dimension(g)
+        assert report.lower == report.upper == report.exact == 3
+        assert "odd cycle in incompatibility graph raises lower bound to 3" in report.notes
+        assert intersect_games(report.witness_upper.parts, g.n) == g
+
 
 class TestGreedyClique:
     """Above ``clique_exact`` vertices the clique bound is greedy."""
@@ -611,6 +625,112 @@ def test_lp_counts_stay_bounded(monkeypatch):
         assert len(joins) <= join_bound, (name, len(joins))
 
 
+def _greedy_run(oracle, verts, adj):
+    """The upper-bound cover of ``_cover_report``: first fit in index order."""
+    return dimension._first_cover(oracle, verts, adj, range(len(verts)), 0, len(verts), math.inf)
+
+
+def _greedy_cover_reference(oracle, verts, adj):
+    """The canonical greedy loop the upper bound ran before it became a run
+    of the block search: each block grows from the first uncovered vertex
+    by every later uncovered vertex that can join it, in index order."""
+    uncovered = list(range(len(verts)))
+    blocks = []
+    while uncovered:
+        seed = uncovered[0]
+        block, masks, block_adj = [seed], [verts[seed]], adj[seed]
+        common = oracle._open(verts[seed])
+        for e in uncovered[1:]:
+            if block_adj >> e & 1:
+                continue
+            joined = oracle._join(masks, common, verts[e])
+            if joined:
+                block.append(e)
+                masks.append(verts[e])
+                block_adj |= adj[e]
+                common = joined
+        covered = set(block)
+        uncovered = [e for e in uncovered if e not in covered]
+        blocks.append((block, oracle._rep(dimension._lowest(common))))
+    return blocks
+
+
+def test_greedy_run_is_the_greedy_cover():
+    """First fit in index order against the canonical greedy loop, each on a
+    fresh oracle with its own graph: the same block members, the same
+    witnesses and the same LP count.  On the benchmark's games, fam(2,3) and
+    fam(4,2), and on random 5-7-player games in both cover directions."""
+    cases = [
+        (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), "lose"),
+        (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), "lose"),
+        (losing_witness_family(3, 2)[0], "lose"),
+        (losing_witness_family(2, 3)[0], "lose"),
+        (losing_witness_family(4, 2)[0], "lose"),
+    ]
+    rng = random.Random(89)
+    for _ in range(40):
+        n = rng.randint(5, 7)
+        g = make_game_from_masks(n, oracles.random_game_masks(rng, n))
+        cases += [(g, "lose"), (g, "win")]
+    for g, mode in cases:
+        verts = maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+        if not verts or verts[0] == 0:
+            continue
+        runs = []
+        for cover in (_greedy_run, _greedy_cover_reference):
+            oracle = PartOracle(g, mode)
+            adj = _graph_on(verts, oracle)
+            runs.append((cover(oracle, verts, adj), oracle.lp_calls))
+        (got, got_lps), (want, want_lps) = runs
+        assert [masks for masks, _ in got] == [[verts[v] for v in block] for block, _ in want], (g, mode)
+        assert [rep for _, rep in got] == [rep for _, rep in want], (g, mode)
+        assert got_lps == want_lps, (g, mode)
+
+
+def test_search_node_counts_stay():
+    """The smallest ``max_nodes`` under which ``_exists_cover``, seeded with
+    the clique as ``_cover_report`` seeds it, finds its cover without
+    raising, found by bisection with a fresh oracle per run."""
+    cases = [
+        (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 28),
+        (losing_witness_family(3, 2)[0], 3, 86),
+        (losing_witness_family(2, 3)[0], 4, 205),
+        (losing_witness_family(4, 2)[0], 4, 196),
+    ]
+    for g, d, want in cases:
+        verts = maximal_losing_masks(g)
+        adj = _graph_on(verts, PartOracle(g))
+        clique = dimension._clique(adj, 700)  # the clique_exact of Budget(1500, 700, 600_000)
+
+        def finds(max_nodes):
+            try:
+                return dimension._exists_cover(PartOracle(g), verts, adj, d, clique, max_nodes)
+            except dimension.BudgetExceeded:
+                return None
+
+        lo, hi = 0, 10**6  # the search raises at lo and not at hi
+        assert finds(hi) is not None
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if finds(mid) is not None else (mid, hi)
+        assert hi == want, (g, d)
+
+
+def test_search_depth_is_not_capped():
+    """The 7-of-14 majority game has 3,003 maximal losing coalitions, three
+    times Python's default recursion limit.  With no edges both the search
+    for one block and the greedy run put all of them in one block."""
+    g = weighted_game(WeightedRep((1,) * 14, 7))
+    verts = maximal_losing_masks(g)
+    assert len(verts) == 3003
+    adj = [0] * len(verts)
+    found = dimension._exists_cover(PartOracle(g), verts, adj, 1, [0], 10**6)
+    greedy = _greedy_run(PartOracle(g), verts, adj)
+    for cover in (found, greedy):
+        assert [masks for masks, _ in cover] == [verts]
+        _check_cover((cover[0][1],), verts, list(g.minwin_masks), "lose")
+
+
 def _exists_cover_reference(oracle, verts, adj, d, seed_clique):
     """The cover search of ``dimension._exists_cover`` without its forward
     check (same vertex order, same block loop, no node budget): the block
@@ -700,7 +820,7 @@ def test_forward_check_finds_the_uncut_cover():
         oracle = PartOracle(g, mode)
         adj = _graph_on(verts, oracle)
         clique = dimension._clique(adj, WIDE.clique_exact)
-        upper = len(dimension._greedy_cover(oracle, verts, adj))
+        upper = len(_greedy_run(oracle, verts, adj))
         runs = [(d, clique) for d in range(len(clique), upper)]
         if not as_searched:
             # an empty seed opens every block in the search, so the cut

@@ -247,6 +247,14 @@ class TestTripartite:
         with pytest.raises(InvalidGameError):
             build_tripartite((2, 2, 2), (3, 2, 3))  # n1 < k1
 
+    @pytest.mark.parametrize("n, k", [((-1, 5, 5), (-2, 1, 3)), ((0, 3, 3), (0, 2, 4))])
+    def test_rejects_empty_or_negative_classes(self, n, k):
+        """Both pass the threshold inequalities: the first used to fail with
+        a bare ValueError while building, the second built an all-win game
+        with an empty declared class."""
+        with pytest.raises(InvalidGameError, match="class sizes"):
+            build_tripartite(n, k)
+
     def test_predicate(self):
         n, k = (2, 3, 2), (2, 3, 4)
         g = build_tripartite(n, k)
