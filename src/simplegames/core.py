@@ -14,6 +14,7 @@ table, kept as a single Python integer with bit ``X`` set iff coalition mask
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -161,6 +162,10 @@ def complement_reversed_table(t: int, n: int) -> int:
 # Above this many bits, clearing one bit of ``t`` at a time (a pass over the
 # whole int per bit) loses to one pass over its binary digits.
 _BITS_SCAN_ABOVE = 256
+# Above one set bit in this many, a search per set bit loses to a C-level
+# filter over every digit.
+_BITS_DENSE_ABOVE = 6
+_DIGIT_VALUE = bytes.maketrans(b"01", b"\0\1")
 
 
 def _bits(t: int) -> list[int]:
@@ -168,6 +173,8 @@ def _bits(t: int) -> list[int]:
     out = []
     if t.bit_length() > _BITS_SCAN_ABOVE:
         digits = format(t, "b")[::-1]  # least significant first
+        if t.bit_count() * _BITS_DENSE_ABOVE > t.bit_length():
+            return list(itertools.compress(itertools.count(), digits.encode().translate(_DIGIT_VALUE)))
         k = digits.find("1")
         while k >= 0:
             out.append(k)

@@ -108,21 +108,28 @@ def _summed_part(
     (wins) every coalition of ``masks``.  For one coalition in ``lose`` mode
     this is the unit weights off it with quota one, which wins every
     coalition that is not inside it.
+
+    The k columns (``~s`` or ``s``) are packed into one int of n-bit
+    fields, and ``rep`` has a one at the bottom of each field, so
+    ``X * rep`` copies X into every field: X weighs
+    ``popcount(X * rep & packed)`` and player i weighs
+    ``popcount(rep << i & packed)``, each a constant number of int
+    operations whatever k is.
     """
-    full = (1 << n) - 1
-    cols = [full ^ s for s in masks] if lose else list(masks)
-    sums = [sum([(s & c).bit_count() for c in cols]) for s in masks]
+    rep = packed = 0
+    for s in masks:
+        rep = rep << n | 1
+        packed = packed << n | s
+    if lose:
+        packed ^= rep * ((1 << n) - 1)
+    sums = [(s * rep & packed).bit_count() for s in masks]
     quota = max(sums) + 1 if lose else min(sums)
     if quota < 1:
         return None
     for m in fixed:
-        if (sum([(m & c).bit_count() for c in cols]) < quota) == lose:
+        if ((m * rep & packed).bit_count() < quota) == lose:
             return None
-    weights = [0] * n
-    for c in cols:
-        for i in _bits(c):
-            weights[i] += 1
-    return weights, quota
+    return [(rep << i & packed).bit_count() for i in range(n)], quota
 
 
 def upper_bound_lmax(g: SimpleGame) -> tuple[int, IntersectionRep]:
@@ -159,6 +166,12 @@ class PartOracle:
     AND of its members' bitsets, whose lowest bit is the first witness
     stored for it.  Witnesses are coprime integer weights and quota, made a
     :class:`WeightedRep` only when handed out.  ``lp_calls`` counts the LPs.
+
+    In complete games the orbit cache keys a pair by the class-count codes
+    of its two coalitions and of their intersection.  For each orbit pair
+    (the two codes) the oracle counts the intersection codes not yet
+    decided compatible; at zero every pair of the two orbits is compatible,
+    and ``_settled`` lists each orbit's partners in such pairs.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
@@ -171,6 +184,8 @@ class PartOracle:
         self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"), g.n + 1)
         self._pair_orbit: dict[int, bool] | None = None
         self._codes: dict[int, int] = {}
+        self._undecided: dict[int, int] = {}  # orbit pair -> codes not yet decided compatible
+        self._settled: dict[int, list[int]] = {}  # code -> codes of its all-compatible partner orbits
         # stored witnesses as coprime integer weights and quota
         self._witnesses: list[tuple[list[int], int]] = []
         self._handled_by: dict[int, int] = {}
@@ -178,10 +193,10 @@ class PartOracle:
         self.lp_calls = 0
         if g.n <= MAX_TABLE_PLAYERS and desirability.is_complete(g):
             partition = desirability.equivalence_classes(g)
-            self._radix: list[tuple[int, int]] = []
+            self._radix: list[tuple[int, int, int]] = []  # class mask, radix, size
             self._span = 1  # number of distinct profiles
             for cm, size in zip(partition._class_masks, partition.sizes):
-                self._radix.append((cm, self._span))
+                self._radix.append((cm, self._span, size))
                 self._span *= size + 1
             self._pair_orbit = {}
 
@@ -191,8 +206,38 @@ class PartOracle:
         """Class-count profile of ``mask`` as one mixed-radix integer."""
         code = self._codes.get(mask)
         if code is None:
-            code = self._codes[mask] = sum((mask & cm).bit_count() * r for cm, r in self._radix)
+            code = self._codes[mask] = sum((mask & cm).bit_count() * r for cm, r, _ in self._radix)
         return code
+
+    def _possible_codes(self, ca: int, cb: int) -> int:
+        """Number of intersection codes of non-nested pairs from the orbits
+        ``ca`` and ``cb`` of an antichain: per class of size s, a and b with
+        pa and pb members share from ``max(0, pa + pb - s)`` to
+        ``min(pa, pb)`` of them.  Two orbits of an antichain have codes
+        that neither bounds the other unless they are one orbit, whose
+        code itself is then the nested one.  (Outside an antichain the
+        count may be one too high, which only keeps the pair unsettled.)"""
+        count = 1
+        for _, r, s in self._radix:
+            pa, pb = ca // r % (s + 1), cb // r % (s + 1)
+            count *= min(pa, pb) - max(0, pa + pb - s) + 1
+        return count - (ca == cb)
+
+    def _decided_compatible(self, key: int) -> None:
+        """Count the orbit key ``key``, just decided compatible, against its
+        orbit pair; record the pair in ``_settled`` once none is left."""
+        pair, ci = divmod(key, self._span)
+        ca, cb = divmod(pair, self._span)
+        if ci == ca or ci == cb:  # a nested pair, outside every antichain
+            return
+        left = self._undecided.get(pair)
+        if left is None:
+            left = self._possible_codes(ca, cb)
+        self._undecided[pair] = left = left - 1
+        if not left:
+            self._settled.setdefault(ca, []).append(cb)
+            if cb != ca:
+                self._settled.setdefault(cb, []).append(ca)
 
     def _orbit_key(self, a: int, b: int) -> int:
         ca, cb = self._code(a), self._code(b)
@@ -285,6 +330,8 @@ class PartOracle:
         verdict = self._pair_verdict(a, b)
         if key is not None:
             self._pair_orbit[key] = verdict
+            if verdict:
+                self._decided_compatible(key)
         return verdict
 
     def _pair_verdict(self, a: int, b: int) -> bool:
@@ -323,7 +370,14 @@ class PartOracle:
 
     def _incompatible_rows(self, verts: list[int]):
         """For each vertex index i, the bitset of indices j > i whose pair
-        with it no single part can handle."""
+        with it no single part can handle.
+
+        In complete games the pairs go by orbit key, and ``pair_compatible``
+        runs only on orbit misses.  Row i first drops, with one AND each,
+        the members of every orbit that ``_settled`` pairs with i's orbit.
+        The dropped pairs are orbit hits that answer compatible, so the
+        calls, witnesses and LPs stay the same and come in the same order.
+        """
         nv = len(verts)
         if self._pair_orbit is None:
             for i, a in enumerate(verts):
@@ -335,10 +389,16 @@ class PartOracle:
             return
         orbit, memo, code, span = self._pair_orbit, self._codes, self._code, self._span
         codes = [code(v) for v in verts]
+        members: dict[int, int] = {}  # code -> bitset of the vertex indices in its orbit
+        for j, c in enumerate(codes):
+            members[c] = members.get(c, 0) | 1 << j
+        everyone = (1 << nv) - 1
         for i, a in enumerate(verts):
             ca = codes[i]
-            row = 0
-            for j in range(i + 1, nv):
+            todo, row = everyone ^ ((2 << i) - 1), 0  # todo: the indices above i
+            for cb in self._settled.get(ca, ()):
+                todo &= ~members.get(cb, 0)
+            for j in _bits(todo):
                 b, cb = verts[j], codes[j]
                 ci = memo.get(a & b)
                 if ci is None:

@@ -551,6 +551,162 @@ def test_orbit_built_graph_matches_fresh_oracles():
     assert complete_seen == {True, False}
 
 
+def _dim_hier_games():
+    """The benchmark's hard games: disj25, conj444 and fam32."""
+    return {
+        "disj25": build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))),
+        "conj444": build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))),
+        "fam32": losing_witness_family(3, 2)[0],
+    }
+
+
+def _antichain(g, mode):
+    return maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
+
+
+def test_possible_codes_match_brute_force():
+    """For every orbit pair of L_max (``lose``) and W_min (win), the number
+    of intersection codes the oracle expects equals the number of distinct
+    ``code(a & b)`` over the pairs of the two orbits where neither coalition
+    contains the other."""
+    for name, g in _dim_hier_games().items():
+        for mode in ("lose", "win"):
+            oracle = PartOracle(g, mode)
+            verts = _antichain(g, mode)
+            seen: dict[tuple[int, int], set[int]] = {}
+            for i, a in enumerate(verts):
+                for b in verts[i:]:
+                    ca, cb = sorted((oracle._code(a), oracle._code(b)))
+                    codes = seen.setdefault((ca, cb), set())
+                    if a & b not in (a, b):
+                        codes.add(oracle._code(a & b))
+            assert len(seen) > 1, (name, mode)
+            for (ca, cb), codes in seen.items():
+                assert oracle._possible_codes(ca, cb) == len(codes), (name, mode, ca, cb)
+
+
+def _full_scan(oracle, verts):
+    """Reference pair graph: ``pair_compatible`` on every pair i < j, in order."""
+    adj = [0] * len(verts)
+    for i, j in combinations(range(len(verts)), 2):
+        if not oracle.pair_compatible(verts[i], verts[j]):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+def _oracle_state(oracle):
+    return oracle._witnesses, oracle.lp_calls, oracle._pair_orbit
+
+
+class _CountingOrbit(dict):
+    """An orbit cache that counts its lookups: one per pair the graph visits,
+    plus one per ``pair_compatible`` call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_skipping_settled_orbit_pairs_changes_no_oracle_state():
+    """On a fresh oracle, the pair graph skips the orbit pairs it has found
+    all compatible, yet leaves the same witnesses, LP count and orbit
+    verdicts as a scan that asks ``pair_compatible`` about every pair in
+    order; on the benchmark's games and on complete and non-complete random
+    games, in both modes."""
+    games = list(_dim_hier_games().values()) + _cache_test_games(random.Random(78))
+    complete_seen = set()
+    for g in games:
+        for mode in ("lose", "win"):
+            verts = _antichain(g, mode)
+            skipping, scanning = PartOracle(g, mode), PartOracle(g, mode)
+            complete_seen.add(skipping._pair_orbit is not None)
+            assert _graph_on(verts, skipping) == _full_scan(scanning, verts), (g, mode)
+            assert _oracle_state(skipping) == _oracle_state(scanning), (g, mode)
+    assert complete_seen == {True, False}
+
+
+def test_graph_after_other_queries_is_the_fresh_graph():
+    """An oracle first asked random pairs and triples, which store witnesses
+    and orbit verdicts out of order, still yields the fresh oracle's graph."""
+    rng = random.Random(79)
+    games = list(_dim_hier_games().values()) + _cache_test_games(rng)
+    for g in games:
+        for mode in ("lose", "win"):
+            verts = _antichain(g, mode)
+            used = PartOracle(g, mode)
+            for _ in range(40 if len(verts) >= 2 else 0):
+                used.pair_compatible(*rng.sample(verts, 2))
+            for _ in range(min(10, math.comb(len(verts), 3))):
+                used.separable_set(frozenset(rng.sample(verts, 3)))
+            assert _graph_on(verts, used) == _graph_on(verts, PartOracle(g, mode)), (g, mode)
+
+
+def test_nested_pairs_settle_no_orbit_pair():
+    """A nested pair has no intersection code of its own orbit pair: asking
+    about each coalition with itself first must not settle disj25's orbit
+    pair whose one incompatible code would then go unvisited."""
+    g = _dim_hier_games()["disj25"]
+    verts = maximal_losing_masks(g)
+    nested = PartOracle(g, "lose")
+    for a in verts:
+        assert nested.pair_compatible(a, a)
+    assert _graph_on(verts, nested) == _graph_on(verts, PartOracle(g, "lose"))
+
+
+def test_second_graph_runs_no_lp_and_visits_only_edges():
+    """A second pair graph on the same oracle is the same graph and runs no
+    LP.  On conj444 every orbit pair with a compatible pair is settled by
+    then, so the second graph visits only its 960 edges, against 171,405
+    pairs in all."""
+    for name, g in _dim_hier_games().items():
+        for mode in ("lose", "win"):
+            verts = _antichain(g, mode)
+            oracle = PartOracle(g, mode)
+            first = _graph_on(verts, oracle)
+            lp_calls = oracle.lp_calls
+            assert _graph_on(verts, oracle) == first and oracle.lp_calls == lp_calls, (name, mode)
+    g = _dim_hier_games()["conj444"]
+    verts = maximal_losing_masks(g)
+    oracle = PartOracle(g, "lose")
+    oracle._pair_orbit = _CountingOrbit()
+    first = _graph_on(verts, oracle)
+    calls = len(oracle._pair_orbit)  # one verdict stored per pair_compatible call
+    fresh_visits = oracle._pair_orbit.lookups - calls
+    oracle._pair_orbit.lookups = 0
+    assert _graph_on(verts, oracle) == first
+    edges = sum(map(int.bit_count, first)) // 2
+    assert edges == 960 and oracle._pair_orbit.lookups == edges
+    assert fresh_visits < 6_000 < len(verts) * (len(verts) - 1) // 2
+
+
+def test_packed_closed_form_at_scale():
+    """The packed closed form equals the player-by-player reference on
+    conj444's antichains, subsets of 1, 2, 50 and 300 coalitions and the
+    whole antichain (L_max in ``lose`` mode, W_min in win), and its verdict
+    on the other antichain equals a naive weight sum per coalition."""
+    g = _dim_hier_games()["conj444"]
+    rng = random.Random(80)
+    outcomes = set()
+    for mode in ("lose", "win"):
+        verts, fixed = _antichain(g, mode), _antichain(g, "win" if mode == "lose" else "lose")
+        for size in (1, 2, 50, 300, len(verts)):
+            masks = rng.sample(verts, size)
+            weights, quota = dimension._summed_part(masks, g.n, mode == "lose")
+            got = weights + [quota]
+            assert [v // math.gcd(*got) for v in got] == _summed_part_reference(masks, g.n, mode)
+            handles_all = all(_handles_exactly(weights, quota, m, "win" if mode == "lose" else "lose")
+                              for m in fixed)
+            found = dimension._summed_part(masks, g.n, mode == "lose", fixed)
+            assert (found == (weights, quota)) if handles_all else found is None, (mode, size)
+            outcomes.add(handles_all)
+    assert outcomes == {True, False}
+
+
 class TestCoverWitnessCheck:
     """Cover witnesses are checked on the antichains, at every player count."""
 
