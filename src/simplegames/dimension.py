@@ -29,7 +29,9 @@ from .core import (
     _popcount,
 )
 from .hierarchical import HierarchicalSpec, Kind
-from .lpsep import WeightedRep, _incidence_rows, _primitive, _separate, threshold_table
+from .lpsep import (
+    WeightedRep, _incidence_rows, _primitive, _separate, _trivial_all_win_rep, threshold_table
+)
 
 
 class BudgetExceeded(RuntimeError):
@@ -84,10 +86,6 @@ def intersect_games(parts: list[WeightedRep] | tuple[WeightedRep, ...], n: int) 
     return SimpleGame._from_table(n, table)
 
 
-def _trivial_all_win_rep(n: int) -> WeightedRep:
-    return WeightedRep((Fraction(0),) * n, Fraction(0))
-
-
 def _one_part_report(part: WeightedRep, note: str) -> DimensionReport:
     """Report on a degenerate game: no cover to search, one part suffices."""
     return DimensionReport(part.n, 0, 1, 1, 1, (), IntersectionRep(part.n, (part,)), (note,))
@@ -107,7 +105,8 @@ def _summed_part(
     the lightest (win, where it must be at least one), so the sum loses
     (wins) every coalition of ``masks``.  For one coalition in ``lose`` mode
     this is the unit weights off it with quota one, which wins every
-    coalition that is not inside it.
+    coalition that is not inside it.  An empty ``masks`` has no sum: None,
+    so the LP decides.
 
     The k columns (``~s`` or ``s``) are packed into one int of n-bit
     fields, and ``rep`` has a one at the bottom of each field, so
@@ -116,6 +115,8 @@ def _summed_part(
     ``popcount(rep << i & packed)``, each a constant number of int
     operations whatever k is.
     """
+    if not masks:
+        return None
     rep = packed = 0
     for s in masks:
         rep = rep << n | 1
@@ -160,12 +161,14 @@ class PartOracle:
 
     Queries run in the order README "How dimension is computed" gives: the
     orbit cache (pairs in complete games), the stored witnesses, the swap
-    scan (pairs), the closed form, then the exact LP.  Each queried
-    coalition keeps a bitset of the stored witnesses handling it (losing it
-    in ``lose`` mode, winning it in ``win`` mode); a set is handled by the
-    AND of its members' bitsets, whose lowest bit is the first witness
-    stored for it.  Witnesses are coprime integer weights and quota, made a
-    :class:`WeightedRep` only when handed out.  ``lp_calls`` counts the LPs.
+    scan (pairs), the closed form, then the exact LP.  Witnesses are coprime
+    integer weights and quota, made a :class:`WeightedRep` only when handed
+    out.  Each owns a bit field in a few shared ints (see ``_store``) and is
+    named by the field's top bit, so one sum over a coalition's players
+    gives the bitset of the witnesses handling it (losing it in ``lose``
+    mode, winning it in ``win`` mode).  A set is handled by the AND of its
+    members' bitsets, whose lowest bit is the first witness stored for it.
+    ``lp_calls`` counts the LPs.
 
     In complete games the orbit cache keys a pair by the class-count codes
     of its two coalitions and of their intersection.  For each orbit pair
@@ -186,10 +189,10 @@ class PartOracle:
         self._codes: dict[int, int] = {}
         self._undecided: dict[int, int] = {}  # orbit pair -> codes not yet decided compatible
         self._settled: dict[int, list[int]] = {}  # code -> codes of its all-compatible partner orbits
-        # stored witnesses as coprime integer weights and quota
-        self._witnesses: list[tuple[list[int], int]] = []
-        self._handled_by: dict[int, int] = {}
-        self._members: dict[int, list[int]] = {}  # players of each queried coalition
+        # stored witnesses as coprime integer weights and quota, by top bit
+        self._witnesses: dict[int, tuple[list[int], int]] = {}
+        self._columns = [0] * g.n  # per player: its weight in every field
+        self._bias = self._tops = 0  # per field: 2**(F-1) - quota; a one at its top
         self.lp_calls = 0
         if g.n <= MAX_TABLE_PLAYERS and desirability.is_complete(g):
             partition = desirability.equivalence_classes(g)
@@ -245,23 +248,16 @@ class PartOracle:
             ca, cb = cb, ca
         return (ca * self._span + cb) * self._span + self._code(a & b)
 
-    def _handles(self, weights: list[int], quota: int, members: list[int]) -> bool:
-        return (sum([weights[i] for i in members]) < quota) == (self.mode == "lose")
-
     def _handled(self, mask: int) -> int:
-        """Bitset of the stored witnesses that handle ``mask``."""
-        handled = self._handled_by.get(mask)
-        if handled is None:
-            members = self._members[mask] = _bits(mask)
-            handled = self._handled_by[mask] = sum(
-                1 << k for k, (weights, quota) in enumerate(self._witnesses)
-                if self._handles(weights, quota, members)
-            )
-        return handled
+        """Bitset of the stored witnesses that handle ``mask``: the top bits
+        of the fields where ``mask``'s weight plus the bias reaches the top
+        (wins, for ``win`` mode) or does not (loses, for ``lose`` mode)."""
+        total = sum(map(self._columns.__getitem__, _bits(mask)), self._bias)
+        return total & self._tops if self.mode == "win" else ~total & self._tops
 
     def _common(self, masks) -> int:
         """Bitset of the stored witnesses handling every coalition of ``masks``."""
-        common = (1 << len(self._witnesses)) - 1
+        common = self._tops
         for m in masks:
             if not common:
                 break
@@ -269,18 +265,30 @@ class PartOracle:
         return common
 
     def _rep(self, k: int) -> WeightedRep:
-        """Stored witness ``k`` as a :class:`WeightedRep`."""
+        """The stored witness keyed ``k`` as a :class:`WeightedRep`."""
         weights, quota = self._witnesses[k]
         return WeightedRep(tuple(weights), quota)
 
     def _store(self, weights: list[int], quota: int) -> int:
-        """Store a witness given in coprime integers; return its index."""
-        k = len(self._witnesses)
-        self._witnesses.append((weights, quota))
-        for m, handled in self._handled_by.items():
-            if self._handles(weights, quota, self._members[m]):
-                self._handled_by[m] = handled | 1 << k
-        return k
+        """Store a witness given in coprime integers; return its key, the
+        top bit of the field it gets above all earlier fields.
+
+        The field is F = ``max(sum(weights), quota).bit_length() + 1`` bits
+        wide and holds each player's weight in ``_columns`` and
+        ``2**(F-1) - quota`` in ``_bias``.  A coalition X sums there to
+        ``2**(F-1) + w(X) - quota``, which is below ``2**F``, so no field
+        carries into the next, and has the top bit exactly when
+        ``w(X) >= quota``.
+        """
+        low = self._tops.bit_length()
+        width = max(sum(weights), quota).bit_length()  # F - 1
+        for i, w in enumerate(weights):
+            self._columns[i] |= w << low
+        self._bias |= (1 << width) - quota << low
+        top = low + width
+        self._tops |= 1 << top
+        self._witnesses[top] = weights, quota
+        return top
 
     def _closed_form(self, masks: Collection[int]) -> tuple[list[int], int] | None:
         """The sum of the one-coalition parts of ``masks`` in coprime form,
@@ -292,7 +300,7 @@ class PartOracle:
         return weights, quota
 
     def _lp(self, masks: frozenset[int]) -> int | None:
-        """Index of the witness the LP stores for ``masks``, or None."""
+        """Key of the witness the LP stores for ``masks``, or None."""
         self.lp_calls += 1
         variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
         res = _separate(self._fixed, variable)
@@ -302,13 +310,13 @@ class PartOracle:
         return self._store(weights, quota)
 
     def _index(self, masks: frozenset[int]) -> int | None:
-        """Index of the first stored witness handling every coalition of
+        """Key of the first stored witness handling every coalition of
         ``masks``, else ``_new_index(masks)``."""
         common = self._common(masks)
         return _lowest(common) if common else self._new_index(masks)
 
     def _new_index(self, masks: frozenset[int]) -> int | None:
-        """For ``masks`` that no stored witness handles: index of the
+        """For ``masks`` that no stored witness handles: key of the
         closed-form or LP witness stored for them, or None if inseparable."""
         found = self._closed_form(masks)
         return self._lp(masks) if found is None else self._store(*found)
@@ -355,10 +363,10 @@ class PartOracle:
         0 if no part handles them together.
 
         ``common`` is the bitset of the nonempty block ``masks``.  It may
-        miss witnesses stored since it was taken; those sit above all of its
-        bits, so a nonzero AND with ``mask``'s bitset still starts at the
-        first stored witness handling the whole set.  Only when that AND is
-        0 does the full ``_index`` query run; a witness it finds handles
+        miss witnesses stored since it was taken; their fields sit above all
+        of its bits, so a nonzero AND with ``mask``'s bitset still starts at
+        the first stored witness handling the whole set.  Only when that AND
+        is 0 does the full ``_index`` query run; a witness it finds handles
         every member, so its bit is in the recomputed AND.
         """
         common &= self._handled(mask)

@@ -37,6 +37,12 @@ class HierarchicalSpec:
     k_vec: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "kind", Kind(self.kind))
+        except ValueError:
+            raise InvalidGameError(
+                f"kind must be a Kind or one of {[k.value for k in Kind]}, got {self.kind!r}"
+            ) from None
         n_vec = tuple(self.n_vec)
         k_vec = tuple(self.k_vec)
         object.__setattr__(self, "n_vec", n_vec)

@@ -133,8 +133,14 @@ def separable(
     for y in lose:
         if any(m & ~y == 0 for m in win):
             return None  # a forbidden coalition is forced winning
+    if win == [0]:  # the all-win game, which the LP's q >= 1 excludes
+        return _trivial_all_win_rep(n)
     res = separable_result(n, win, _inclusion_maximal(lose, n))
     return _canonical_rep(res.nums[: n + 1]) if res.feasible else None
+
+
+def _trivial_all_win_rep(n: int) -> WeightedRep:
+    return WeightedRep((Fraction(0),) * n, Fraction(0))
 
 
 def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
@@ -219,7 +225,7 @@ def is_weighted(g: SimpleGame) -> WeightedRep | None:
 
 def _is_weighted_uncached(g: SimpleGame) -> WeightedRep | None:
     if g.wins_mask(0):  # empty coalition wins, hence everything does
-        return WeightedRep((Fraction(0),) * g.n, Fraction(0))
+        return _trivial_all_win_rep(g.n)
     if g.n <= MAX_TABLE_PLAYERS:
         if not desirability.is_complete(g):
             return None

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -249,9 +250,24 @@ class TestTrivialGames:
         oracle = PartOracle(g, "lose")
         rep = oracle.separable_set(frozenset(maximal_losing_masks(g)))
         assert rep == WeightedRep((0,) * n, 1)
-        assert oracle._witnesses == [([0] * n, 1)]
+        assert list(oracle._witnesses.values()) == [([0] * n, 1)]
         # n weights and the quota: one empty column each
         assert oracle._fixed.rows == [] and oracle._fixed.alternative() == ([[]] * (n + 1), [])
+
+    @pytest.mark.parametrize("mode", ["lose", "win"])
+    def test_empty_query_on_a_fresh_oracle(self, mode, majority5):
+        # no coalition to sum a closed form over: the LP answers with a part
+        # that handles the fixed side alone
+        all_lose = make_game(3, [])
+        for g in (majority5, _dim_hier_games()["disj25"], all_lose):
+            oracle = PartOracle(g, mode)
+            rep = oracle.separable_set(frozenset())
+            assert rep is not None and oracle.lp_calls == 1
+            assert all(rep.wins_mask(m) == (mode == "lose") for m in oracle._fixed_masks)
+        # on the all-winning game, lose mode must win the empty coalition,
+        # which the LP's q >= 1 excludes; win mode has nothing to lose
+        all_win = make_game(3, [Coalition.of([], 3)])
+        assert (PartOracle(all_win, mode).separable_set(frozenset()) is None) == (mode == "lose")
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_win_mode_on_the_all_winning_game(self, n, monkeypatch):
@@ -465,8 +481,7 @@ def test_oracle_witnesses_match_the_fraction_point(monkeypatch):
             for q in rng.sample(list(combinations(verts, 3)), min(10, math.comb(len(verts), 3))):
                 handed.append(oracle.separable_set(frozenset(q)))
             assert len(oracle._witnesses) == len(events)
-            for k, (source, got) in enumerate(events):
-                weights, quota = oracle._witnesses[k]
+            for (k, (weights, quota)), (source, got) in zip(oracle._witnesses.items(), events):
                 if source == "lp":
                     want = _fraction_canonical(got.x[: g.n + 1])
                     assert oracle._rep(k) == _canonical_rep(got.nums[: g.n + 1])
@@ -475,7 +490,7 @@ def test_oracle_witnesses_match_the_fraction_point(monkeypatch):
                 assert weights + [quota] == want
                 assert oracle._rep(k) == WeightedRep(tuple(want[:-1]), want[-1])
                 stored[source] += 1
-            assert set(handed) - {None} <= {oracle._rep(k) for k in range(len(events))}
+            assert set(handed) - {None} <= {oracle._rep(k) for k in oracle._witnesses}
     assert stored["lp"] > 0 and stored["closed"] > 0
 
 
@@ -1124,3 +1139,112 @@ def test_single_coalitions_need_no_lp():
                     rep = oracle.separable_set(frozenset((v,)))
                     assert rep is not None and rep.wins_mask(v) == (mode == "win")
                     assert oracle.lp_calls == 0
+
+
+def test_packed_fields_agree_with_direct_sums(monkeypatch):
+    """A stored witness's top bit is in ``_handled(m)`` exactly when its
+    integer weight sum handles m, for every coalition m of both antichains,
+    after whole ``exact_dimension`` (``lose`` mode) and
+    ``codimension_direct`` (win mode) runs: on the benchmark's hard games
+    (conj444 without its minute-long ``codimension_direct``), fam(2,3), an
+    all-losing game, whose closed form has quota 1 above its weight sum 0,
+    and seeded random 5-7-player games; once as the LPs run and once with
+    every LP on the exact route, whose numerators run larger."""
+    made = []
+    real_init = PartOracle.__init__
+
+    def recording(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(PartOracle, "__init__", recording)
+    rng = random.Random(82)
+    games = dict(_dim_hier_games(), fam23=losing_witness_family(2, 3)[0], all_lose=make_game(4, []))
+    for i in range(16):
+        n = rng.randint(5, 7)
+        games[f"random{i}"] = SimpleGame._from_table(n, oracles.random_two_weighted_table(rng, n, 4))
+    budget = Budget(1500, 700, 600_000)
+    seen = {"lose": 0, "win": 0, "quota above sum": 0, "sum a power of two": 0}
+    for limit in (_exactlp._EXACT_SIZE_LIMIT, math.inf):
+        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", limit)
+        for name, g in games.items():
+            made.clear()
+            exact_dimension(g, budget)
+            if name != "conj444":
+                codimension_direct(g, budget)
+            coalitions = _antichain(g, "lose") + _antichain(g, "win")
+            for oracle in made:
+                handled = [oracle._handled(m) for m in coalitions]
+                for top, (weights, quota) in oracle._witnesses.items():
+                    want = [_handles_exactly(weights, quota, m, oracle.mode) for m in coalitions]
+                    assert [bool(h >> top & 1) for h in handled] == want, (name, oracle.mode, top)
+                    seen[oracle.mode] += 1
+                    seen["quota above sum"] += quota > sum(weights)
+                    seen["sum a power of two"] += sum(weights).bit_count() == 1
+    assert all(seen.values()), seen
+
+
+def _pinned_report_groups():
+    """The report groups ``test_whole_reports_stay_pinned`` digests: name ->
+    a thunk giving a list of whole reports."""
+    hard = dict(
+        _dim_hier_games(), fam23=losing_witness_family(2, 3)[0], fam42=losing_witness_family(4, 2)[0]
+    )
+    budget = Budget(1500, 700, 600_000)
+    groups = {
+        f"{name} dimension": (lambda g=g: [exact_dimension(g, budget)]) for name, g in hard.items()
+    }
+    for name in ("disj25", "fam32"):
+        g = hard[name]
+        groups[f"{name} codimension"] = lambda g=g: [codimension(g, budget), codimension_direct(g, budget)]
+
+    def random_games():
+        rng, reports = random.Random(81), []
+        small = Budget(max_lmax=80, clique_exact=300)
+        for i in range(200):
+            n = rng.randint(5, 7)
+            if i % 2:
+                g = make_game_from_masks(n, oracles.random_game_masks(rng, n))
+            else:
+                g = SimpleGame._from_table(n, oracles.random_two_weighted_table(rng, n, 4))
+            reports += [route(g, small) for route in (exact_dimension, codimension, codimension_direct)]
+        return reports
+
+    groups["200 random games"] = random_games
+    return groups
+
+
+# sha256 of repr(reports), then the LPs the group ran
+PINNED_REPORTS = {
+    "disj25 dimension": ("819d64a833d2cd3f8539ea444826a840f296e29d72b1b7672c05e6b2ca696864", 18),
+    "conj444 dimension": ("d5e203ec3b28af552652e8d5ee251f2a54c4a75c3d4b157b73a67557bc6b948d", 13),
+    "fam32 dimension": ("21e65d6c4b1deec6fa2d2ace7fd104ef9059e5c8ac760aba381818f4c2f02e4b", 17),
+    "fam23 dimension": ("41b4816ca635cdd092dc25a72079e3741ee8e52b78f9962bfb054769f5b0b384", 112),
+    "fam42 dimension": ("540206a00ec49ec6700db47f573013e32948df53971d83237bc7d876e875543c", 22),
+    "disj25 codimension": ("645545bb45b3b1751d0df8292de778d66c1be1c3f30da9f54b8ebd45ad984df9", 3),
+    "fam32 codimension": ("4c7c79016996810dff2d1915f8c27b5849a1ced557f44efca2f842917aa2db25", 8),
+    "200 random games": ("1bc224e26c3a6b14759db55501b457232d635321f052886391bb53f0c245b29a", 1273),
+}
+
+
+def test_whole_reports_stay_pinned(monkeypatch):
+    """Whole reports, witness parts included, and the number of LPs behind
+    them stay as pinned: on the benchmark's hard games, fam(2,3) and
+    fam(4,2) under the wide budget (codimension on disj25 and fam32 only,
+    as conj444's takes a minute), and on 200 seeded random 5-7-player
+    games through all three routes.  Witnesses of LPs past the float gate
+    are HiGHS points, rounded and checked, so a scipy release that moves
+    those points may move these digests without any fault here."""
+    lps = [0]
+    real_separate = dimension._separate
+
+    def counting(*args, **kwargs):
+        lps[0] += 1
+        return real_separate(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "_separate", counting)
+    got = {}
+    for name, reports in _pinned_report_groups().items():
+        lps[0] = 0
+        got[name] = (hashlib.sha256(repr(reports()).encode()).hexdigest(), lps[0])
+    assert got == PINNED_REPORTS

@@ -41,6 +41,16 @@ class TestSpecValidation:
         with pytest.raises(InvalidGameError):
             conj((2, 3, 2), (3, 2, 4))
 
+    def test_kind_is_coerced_or_rejected(self):
+        # a kind given by its value builds that kind, not the conjunctive game
+        spec = HierarchicalSpec("disjunctive", (2, 3), (1, 3))
+        assert spec == disj((2, 3), (1, 3)) and spec.kind is Kind.DISJUNCTIVE
+        assert build(spec) == build(disj((2, 3), (1, 3))) != build(conj((2, 3), (1, 3)))
+        assert HierarchicalSpec("conjunctive", (2, 3), (1, 3)).kind is Kind.CONJUNCTIVE
+        for bad in ("bogus", "DISJUNCTIVE", 1, None, ["disjunctive"]):
+            with pytest.raises(InvalidGameError, match="kind"):
+                HierarchicalSpec(bad, (2, 3), (1, 3))
+
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(InvalidGameError):
             HierarchicalSpec(Kind.DISJUNCTIVE, (), ())

@@ -43,6 +43,17 @@ class TestSeparable:
         rep = separable(5, majority5.min_winning, [])
         assert rep is not None and rep.quota >= 1
 
+    def test_empty_coalition_must_win(self):
+        # the all-win game, which the LP's q >= 1 cannot give, is the answer
+        # when nothing must lose; anything that must lose makes it infeasible
+        for n in (1, 3, 5):
+            all_win = make_game(n, [Coalition.of([], n)])
+            rep = separable(n, [0], [])
+            assert rep == WeightedRep((0,) * n, 0) == is_weighted(all_win)
+            assert verify_representation(all_win, rep)
+            assert separable(n, [0, 0b1], []) == rep
+            assert separable(n, [Coalition.of([], n)], [0]) is None
+
     def test_rejects_coalitions_outside_the_player_set(self):
         for win, lose in (
             ([0b1000], []),  # member 3 of a 3-player separation
