@@ -34,6 +34,11 @@ def _popcount(x: int) -> int:
     return x.bit_count()
 
 
+def _check_player_count(n: int) -> None:
+    if not 1 <= n <= MAX_PLAYERS:
+        raise InvalidGameError(f"player count {n} outside 1..{MAX_PLAYERS}")
+
+
 @dataclass(frozen=True)
 class Coalition:
     """Subset of players ``0..n-1`` with bitset semantics.
@@ -47,8 +52,7 @@ class Coalition:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_PLAYERS:
-            raise InvalidGameError(f"player count {self.n} outside 1..{MAX_PLAYERS}")
+        _check_player_count(self.n)
         if not 0 <= self.mask < (1 << self.n):
             raise InvalidGameError(
                 f"coalition {bin(self.mask)} has members outside 0..{self.n - 1}"
@@ -295,8 +299,7 @@ def make_game(n: int, claimed_min_winning: Iterable[Coalition]) -> SimpleGame:
 
 def make_game_from_masks(n: int, masks: Iterable[int]) -> SimpleGame:
     """Mask-level variant of :func:`make_game` (same reduction rules)."""
-    if not 1 <= n <= MAX_PLAYERS:
-        raise InvalidGameError(f"player count {n} outside 1..{MAX_PLAYERS}")
+    _check_player_count(n)
     full = (1 << n) - 1
     ms = list(masks)
     for m in ms:

@@ -28,6 +28,7 @@ from .core import (
     _bits,
     _popcount,
 )
+from .desirability import Model
 from .hierarchical import HierarchicalSpec, Kind
 from .lpsep import (
     WeightedRep, _incidence_rows, _primitive, _separate, _trivial_all_win_rep, threshold_table
@@ -170,11 +171,14 @@ class PartOracle:
     members' bitsets, whose lowest bit is the first witness stored for it.
     ``lp_calls`` counts the LPs.
 
-    In complete games the orbit cache keys a pair by the class-count codes
-    of its two coalitions and of their intersection.  For each orbit pair
-    (the two codes) the oracle counts the intersection codes not yet
+    In a complete game every permutation within a desirability class is an
+    automorphism, so a coalition's orbit is its model, the tuple of its
+    member counts per class (``_code``).  The orbit cache keys a pair by the
+    models of its two coalitions and of their intersection.  For each orbit
+    pair (the two models) the oracle counts the intersection models not yet
     decided compatible; at zero every pair of the two orbits is compatible,
-    and ``_settled`` lists each orbit's partners in such pairs.
+    and ``_settled`` lists each orbit's partners in such pairs.  Other games
+    have no orbit cache, and every coalition has the empty model.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
@@ -185,68 +189,54 @@ class PartOracle:
         # subsets of L_max, lose L_max when winning subsets of W_min
         self._fixed_masks = list(g.minwin_masks) if mode == "lose" else maximal_losing_masks(g)
         self._fixed = RowBlock(_incidence_rows(self._fixed_masks, g.n, mode == "lose"), g.n + 1)
-        self._pair_orbit: dict[int, bool] | None = None
-        self._codes: dict[int, int] = {}
-        self._undecided: dict[int, int] = {}  # orbit pair -> codes not yet decided compatible
-        self._settled: dict[int, list[int]] = {}  # code -> codes of its all-compatible partner orbits
+        self._pair_orbit: dict[tuple[Model, Model, Model], bool] | None = None
+        self._codes: dict[int, Model] = {}
+        self._undecided: dict[tuple[Model, Model], int] = {}  # orbit pair -> models undecided
+        self._settled: dict[Model, list[Model]] = {}  # model -> all-compatible partner models
         # stored witnesses as coprime integer weights and quota, by top bit
         self._witnesses: dict[int, tuple[list[int], int]] = {}
         self._columns = [0] * g.n  # per player: its weight in every field
         self._bias = self._tops = 0  # per field: 2**(F-1) - quota; a one at its top
         self.lp_calls = 0
+        self._class_masks = self._sizes = ()  # per desirability class: its player mask; its size
         if g.n <= MAX_TABLE_PLAYERS and desirability.is_complete(g):
             partition = desirability.equivalence_classes(g)
-            self._radix: list[tuple[int, int, int]] = []  # class mask, radix, size
-            self._span = 1  # number of distinct profiles
-            for cm, size in zip(partition._class_masks, partition.sizes):
-                self._radix.append((cm, self._span, size))
-                self._span *= size + 1
+            self._class_masks, self._sizes = partition._class_masks, partition.sizes
             self._pair_orbit = {}
 
     # -- helpers -------------------------------------------------------------
 
-    def _code(self, mask: int) -> int:
-        """Class-count profile of ``mask`` as one mixed-radix integer."""
+    def _code(self, mask: int) -> Model:
+        """Model of ``mask``: its member counts per desirability class."""
         code = self._codes.get(mask)
         if code is None:
-            code = self._codes[mask] = sum((mask & cm).bit_count() * r for cm, r, _ in self._radix)
+            code = self._codes[mask] = tuple((mask & cm).bit_count() for cm in self._class_masks)
         return code
 
-    def _possible_codes(self, ca: int, cb: int) -> int:
-        """Number of intersection codes of non-nested pairs from the orbits
+    def _possible_codes(self, ca: Model, cb: Model) -> int:
+        """Number of intersection models of non-nested pairs from the orbits
         ``ca`` and ``cb`` of an antichain: per class of size s, a and b with
         pa and pb members share from ``max(0, pa + pb - s)`` to
-        ``min(pa, pb)`` of them.  Two orbits of an antichain have codes
+        ``min(pa, pb)`` of them.  Two orbits of an antichain have models
         that neither bounds the other unless they are one orbit, whose
-        code itself is then the nested one.  (Outside an antichain the
+        model itself is then the nested one.  (Outside an antichain the
         count may be one too high, which only keeps the pair unsettled.)"""
         count = 1
-        for _, r, s in self._radix:
-            pa, pb = ca // r % (s + 1), cb // r % (s + 1)
+        for pa, pb, s in zip(ca, cb, self._sizes):
             count *= min(pa, pb) - max(0, pa + pb - s) + 1
         return count - (ca == cb)
 
-    def _decided_compatible(self, key: int) -> None:
-        """Count the orbit key ``key``, just decided compatible, against its
-        orbit pair; record the pair in ``_settled`` once none is left."""
-        pair, ci = divmod(key, self._span)
-        ca, cb = divmod(pair, self._span)
-        if ci == ca or ci == cb:  # a nested pair, outside every antichain
-            return
-        left = self._undecided.get(pair)
+    def _decided_compatible(self, ca: Model, cb: Model) -> None:
+        """Count one more intersection model of the orbit pair ``(ca, cb)``
+        decided compatible; record the pair in ``_settled`` once none is left."""
+        left = self._undecided.get((ca, cb))
         if left is None:
             left = self._possible_codes(ca, cb)
-        self._undecided[pair] = left = left - 1
+        self._undecided[ca, cb] = left = left - 1
         if not left:
             self._settled.setdefault(ca, []).append(cb)
             if cb != ca:
                 self._settled.setdefault(cb, []).append(ca)
-
-    def _orbit_key(self, a: int, b: int) -> int:
-        ca, cb = self._code(a), self._code(b)
-        if cb < ca:
-            ca, cb = cb, ca
-        return (ca * self._span + cb) * self._span + self._code(a & b)
 
     def _handled(self, mask: int) -> int:
         """Bitset of the stored witnesses that handle ``mask``: the top bits
@@ -329,17 +319,17 @@ class PartOracle:
 
     def pair_compatible(self, a: int, b: int) -> bool:
         """True iff one part can handle both coalitions together."""
-        key = None
-        if self._pair_orbit is not None:
-            key = self._orbit_key(a, b)
-            hit = self._pair_orbit.get(key)
-            if hit is not None:
-                return hit
-        verdict = self._pair_verdict(a, b)
-        if key is not None:
-            self._pair_orbit[key] = verdict
-            if verdict:
-                self._decided_compatible(key)
+        orbit = self._pair_orbit
+        if orbit is None:
+            return self._pair_verdict(a, b)
+        ca, cb, ci = self._code(a), self._code(b), self._code(a & b)
+        if cb < ca:
+            ca, cb = cb, ca
+        verdict = orbit.get((ca, cb, ci))
+        if verdict is None:
+            verdict = orbit[ca, cb, ci] = self._pair_verdict(a, b)
+            if verdict and ci != ca and ci != cb:  # a nested pair lies outside every antichain
+                self._decided_compatible(ca, cb)
         return verdict
 
     def _pair_verdict(self, a: int, b: int) -> bool:
@@ -376,58 +366,30 @@ class PartOracle:
             return 0
         return self._common(masks) & self._handled(mask)
 
-    def _incompatible_rows(self, verts: list[int]):
-        """For each vertex index i, the bitset of indices j > i whose pair
-        with it no single part can handle.
-
-        In complete games the pairs go by orbit key, and ``pair_compatible``
-        runs only on orbit misses.  Row i first drops, with one AND each,
-        the members of every orbit that ``_settled`` pairs with i's orbit.
-        The dropped pairs are orbit hits that answer compatible, so the
-        calls, witnesses and LPs stay the same and come in the same order.
-        """
-        nv = len(verts)
-        if self._pair_orbit is None:
-            for i, a in enumerate(verts):
-                row = 0
-                for j in range(i + 1, nv):
-                    if not self.pair_compatible(a, verts[j]):
-                        row |= 1 << j
-                yield row
-            return
-        orbit, memo, code, span = self._pair_orbit, self._codes, self._code, self._span
-        codes = [code(v) for v in verts]
-        members: dict[int, int] = {}  # code -> bitset of the vertex indices in its orbit
-        for j, c in enumerate(codes):
-            members[c] = members.get(c, 0) | 1 << j
-        everyone = (1 << nv) - 1
-        for i, a in enumerate(verts):
-            ca = codes[i]
-            todo, row = everyone ^ ((2 << i) - 1), 0  # todo: the indices above i
-            for cb in self._settled.get(ca, ()):
-                todo &= ~members.get(cb, 0)
-            for j in _bits(todo):
-                b, cb = verts[j], codes[j]
-                ci = memo.get(a & b)
-                if ci is None:
-                    ci = code(a & b)
-                # _orbit_key(a, b), inlined
-                key = (ca * span + cb if ca <= cb else cb * span + ca) * span + ci
-                verdict = orbit.get(key)
-                if verdict is None:
-                    verdict = self.pair_compatible(a, b)
-                if not verdict:
-                    row |= 1 << j
-            yield row
-
 
 def _graph_on(verts: list[int], oracle: PartOracle) -> list[int]:
-    """Adjacency bitsets; an edge joins coalitions no single part can handle together."""
-    adj = [0] * len(verts)
-    for i, row in enumerate(oracle._incompatible_rows(verts)):
-        adj[i] |= row
-        for j in _bits(row):
-            adj[j] |= 1 << i
+    """Adjacency bitsets; an edge joins coalitions no single part can handle together.
+
+    Row i asks ``pair_compatible`` about each j > i but the members of the
+    orbits that ``_settled`` pairs with i's orbit (complete games only),
+    dropped with one AND each.  Those pairs are orbit hits that answer
+    compatible, so verdicts, witnesses and LPs come as from every pair in order.
+    """
+    nv = len(verts)
+    adj = [0] * nv
+    codes = [oracle._code(v) for v in verts]
+    members: dict[Model, int] = {}  # model -> bitset of the vertex indices in its orbit
+    for j, c in enumerate(codes):
+        members[c] = members.get(c, 0) | 1 << j
+    everyone = (1 << nv) - 1
+    for i, a in enumerate(verts):
+        todo = everyone ^ ((2 << i) - 1)  # the indices above i
+        for cb in oracle._settled.get(codes[i], ()):
+            todo &= ~members.get(cb, 0)
+        for j in _bits(todo):
+            if not oracle.pair_compatible(a, verts[j]):
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     return adj
 
 

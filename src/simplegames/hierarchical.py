@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -43,8 +44,8 @@ class HierarchicalSpec:
             raise InvalidGameError(
                 f"kind must be a Kind or one of {[k.value for k in Kind]}, got {self.kind!r}"
             ) from None
-        n_vec = tuple(self.n_vec)
-        k_vec = tuple(self.k_vec)
+        n_vec = _integers(self.n_vec, "class sizes")
+        k_vec = _integers(self.k_vec, "thresholds")
         object.__setattr__(self, "n_vec", n_vec)
         object.__setattr__(self, "k_vec", k_vec)
         if len(n_vec) != len(k_vec) or not n_vec:
@@ -77,6 +78,18 @@ class HierarchicalSpec:
     def class_players(self, c: int) -> tuple[int, ...]:
         lo, hi = self.class_ranges[c]
         return tuple(range(lo, hi))
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a bool, a non-integer or a
+    non-iterable raises :class:`InvalidGameError`."""
+    try:
+        values = tuple(values)
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    raise InvalidGameError(f"{name} must be a sequence of integers, got {values!r}")
 
 
 def _class_ranges(n_vec: tuple[int, ...]) -> tuple[tuple[int, int], ...]:

@@ -35,6 +35,7 @@ from .core import (
     antichain_reduce,
     maximal_losing_masks,
     _bits,
+    _check_player_count,
     _popcount,
 )
 
@@ -125,9 +126,11 @@ def separable(
 
     Infeasibility is an answer, not an error; nonnegative weights make the
     win side close upward and the lose side close downward automatically.
-    Coalitions over another player count and masks with members outside
-    ``0..n-1`` raise :class:`InvalidGameError`.
+    A player count outside ``1..MAX_PLAYERS``, coalitions over another
+    player count and masks with members outside ``0..n-1`` raise
+    :class:`InvalidGameError`.
     """
+    _check_player_count(n)
     win = antichain_reduce(_checked_masks(n, must_win))
     lose = _checked_masks(n, must_lose)
     for y in lose:

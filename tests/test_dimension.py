@@ -29,7 +29,7 @@ from simplegames import (
     upper_bound_lmax,
     weighted_game,
 )
-from simplegames import _exactlp, dimension
+from simplegames import _exactlp, desirability, dimension
 from simplegames.certificates import _swap_split
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.dimension import PartOracle, _check_cover, _graph_on
@@ -548,9 +548,9 @@ def test_oracle_caches_agree_with_fresh_oracles():
 
 
 def test_orbit_built_graph_matches_fresh_oracles():
-    """The pair graph, built from orbit keys with ``pair_compatible`` only on
-    orbit misses, equals the graph of one fresh oracle per pair, in both
-    modes, on complete and non-complete games."""
+    """The pair graph, which skips settled orbit pairs and asks
+    ``pair_compatible`` about the rest, equals the graph of one fresh oracle
+    per pair, in both modes, on complete and non-complete games."""
     complete_seen = set()
     for g in _cache_test_games(random.Random(74)):
         for mode in ("lose", "win"):
@@ -579,6 +579,20 @@ def _antichain(g, mode):
     return maximal_losing_masks(g) if mode == "lose" else list(g.minwin_masks)
 
 
+def test_orbits_are_models():
+    """In a complete game the oracle's orbit code of a coalition is its
+    model: the codes of L_max (``lose``) and W_min (win) are the game's
+    maximal losing and minimal winning models."""
+    games = list(_dim_hier_games().values()) + _cache_test_games(random.Random(81))
+    complete = [g for g in games if desirability.is_complete(g)]
+    assert len(complete) > len(_dim_hier_games())
+    models = {"lose": desirability.maximal_losing_models, "win": desirability.minimal_winning_models}
+    for g in complete:
+        for mode, of in models.items():
+            oracle = PartOracle(g, mode)
+            assert {oracle._code(m) for m in _antichain(g, mode)} == set(of(g)), (g, mode)
+
+
 def test_possible_codes_match_brute_force():
     """For every orbit pair of L_max (``lose``) and W_min (win), the number
     of intersection codes the oracle expects equals the number of distinct
@@ -588,7 +602,7 @@ def test_possible_codes_match_brute_force():
         for mode in ("lose", "win"):
             oracle = PartOracle(g, mode)
             verts = _antichain(g, mode)
-            seen: dict[tuple[int, int], set[int]] = {}
+            seen: dict[tuple[tuple, tuple], set[tuple]] = {}
             for i, a in enumerate(verts):
                 for b in verts[i:]:
                     ca, cb = sorted((oracle._code(a), oracle._code(b)))
@@ -615,8 +629,8 @@ def _oracle_state(oracle):
 
 
 class _CountingOrbit(dict):
-    """An orbit cache that counts its lookups: one per pair the graph visits,
-    plus one per ``pair_compatible`` call."""
+    """An orbit cache that counts its lookups: one per ``pair_compatible``
+    call, and so one per pair the graph visits."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -690,8 +704,7 @@ def test_second_graph_runs_no_lp_and_visits_only_edges():
     oracle = PartOracle(g, "lose")
     oracle._pair_orbit = _CountingOrbit()
     first = _graph_on(verts, oracle)
-    calls = len(oracle._pair_orbit)  # one verdict stored per pair_compatible call
-    fresh_visits = oracle._pair_orbit.lookups - calls
+    fresh_visits = oracle._pair_orbit.lookups
     oracle._pair_orbit.lookups = 0
     assert _graph_on(verts, oracle) == first
     edges = sum(map(int.bit_count, first)) // 2

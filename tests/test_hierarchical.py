@@ -57,6 +57,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidGameError):
             disj((0, 2), (1, 2))
 
+    def test_rejects_non_integer_sizes_and_thresholds(self):
+        # 1.5 used to build a 7-player game, 2.0 to fail in build with a
+        # bare TypeError, and True to count as a size
+        for n_vec, k_vec in (((2, 5), (1.5, 5)), ((2.0, 5), (2, 5)), ((True, 5), (1, 5)),
+                             ((2, 5), (1, True)), ((2, "5"), (2, 5)), (7, (2,))):
+            with pytest.raises(InvalidGameError, match="integers"):
+                disj(n_vec, k_vec)
+        assert disj([2, 5], iter((2, 5))) == disj((2, 5), (2, 5))
+
 
 class TestBuild:
     def test_h25_minimal_winning_models(self, h_disj_25):

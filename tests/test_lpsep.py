@@ -23,7 +23,9 @@ from simplegames import (
     verify_representation,
     weighted_game,
 )
-from simplegames.core import MAX_TABLE_PLAYERS, TableSizeError, maximal_losing, maximal_losing_masks
+from simplegames.core import (
+    MAX_PLAYERS, MAX_TABLE_PLAYERS, TableSizeError, maximal_losing, maximal_losing_masks
+)
 from simplegames.lpsep import threshold_table
 
 
@@ -64,6 +66,12 @@ class TestSeparable:
         ):
             with pytest.raises(InvalidGameError):
                 separable(3, win, lose)
+
+    def test_rejects_player_counts_outside_the_cap(self):
+        for n, win, lose in ((0, [], []), (-1, [], []), (MAX_PLAYERS + 1, [1], [2]), (70, [1], [2])):
+            with pytest.raises(InvalidGameError, match="player count"):
+                separable(n, win, lose)
+        assert separable(MAX_PLAYERS, [1], [2]) is not None
 
     def test_forced_superset_is_infeasible(self):
         g = make_game(4, [Coalition.of([0], 4)])
