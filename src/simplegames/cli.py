@@ -148,11 +148,56 @@ def _parse_kind(token: str) -> hierarchical.Kind:
 
 
 # -- shared rendering ------------------------------------------------------------
+#
+# A report is one ordered list of fields ``(key, value, line)``: ``--json``
+# prints the keyed values as one object, text prints the lines in order.  A
+# text-only field has no key; a JSON-only field has no line.
 
 
-def format_rep(rep) -> str:
-    weights = ",".join(format_fraction(w) for w in rep.weights)
-    return f"[{format_fraction(rep.quota)}; {weights}]"
+def _field(key: str, value, text=None) -> tuple:
+    """Field whose line is ``key: text`` (dashes for underscores); ``text``
+    defaults to ``value``."""
+    return key, value, f"{key.replace('_', '-')}: {value if text is None else text}"
+
+
+def _print_report(fields: Sequence[tuple], as_json: bool) -> None:
+    if as_json:
+        print(json.dumps({key: value for key, value, _ in fields if key}, sort_keys=True))
+    else:
+        for _, _, line in fields:
+            if line is not None:
+                print(line)
+
+
+def _rep(rep) -> tuple[dict, str]:
+    """A representation's JSON object and its ``[quota; weights]`` text."""
+    quota, weights = format_fraction(rep.quota), [format_fraction(w) for w in rep.weights]
+    return {"quota": quota, "weights": weights}, f"[{quota}; {','.join(weights)}]"
+
+
+def _rep_field(key: str, rep) -> tuple:
+    if rep is None:
+        return _field(key, None, "no")
+    value, text = _rep(rep)
+    return _field(key, value, "yes " + text)
+
+
+def _models_field(key: str, models: Sequence[Sequence[int]]) -> tuple:
+    return _field(key, [list(m) for m in models], " ".join(format_model(m) for m in reversed(models)))
+
+
+def _players_field(key: str, players: Sequence[int]) -> tuple:
+    return _field(key, list(players), ",".join(map(str, players)) or "-")
+
+
+def _witness_field(witness: Sequence[Coalition], shown: bool = True) -> tuple:
+    text = ",".join(format_coalition(c) for c in witness)
+    key, value, line = _field("witness_lower", _member_lists(witness), text)
+    return key, value, line if shown else None
+
+
+def _member_lists(coalitions: Iterable[Coalition]) -> list[list[int]]:
+    return [list(c.members) for c in coalitions]
 
 
 def format_coalition(c: Coalition) -> str:
@@ -173,13 +218,6 @@ def format_certificate(tt: certificates.TradingTransform) -> str:
     wins = ",".join(format_coalition(c) for c in tt.pre)
     loses = ",".join(format_coalition(c) for c in tt.post)
     return f"CERT j={tt.length}: WIN {wins} | LOSE {loses}"
-
-
-def _rep_json(rep) -> dict:
-    return {
-        "quota": format_fraction(rep.quota),
-        "weights": [format_fraction(w) for w in rep.weights],
-    }
 
 
 # -- game source from flags ------------------------------------------------------
@@ -205,6 +243,8 @@ def _game_from_args(args) -> tuple[SimpleGame, str]:
     sources = [s for s in (args.game, args.hier, args.os3, args.formula) if s]
     if len(sources) != 1:
         raise GameFileError("exactly one of --game, --hier, --os3, --formula is required")
+    if not args.hier and (args.n is not None or args.k is not None):
+        raise GameFileError("--n and --k need --hier")
     if args.game:
         try:
             text = sys.stdin.read() if args.game == "-" else Path(args.game).read_text("utf-8")
@@ -233,72 +273,43 @@ def _game_from_args(args) -> tuple[SimpleGame, str]:
 
 
 def cmd_analyze(args) -> int:
+    if args.max_len < 2:
+        raise GameFileError(f"--max-len {args.max_len}: certificates have length at least 2")
     game, source = _game_from_args(args)
-    out: dict = {
-        "source": source,
-        "players": game.n,
-        "minimal_winning": len(game.minwin_masks),
-        "maximal_losing": len(maximal_losing_masks(game)),
-    }
     try:
         complete = desirability.is_complete(game)
-    except TableSizeError:
-        complete = None  # structure analysis is table-gated
-    out["complete"] = complete
+        verdict = "yes" if complete else "no"
+    except TableSizeError:  # structure analysis is table-gated
+        complete, verdict = None, "not computed (player count above the table gate)"
+    fields = [
+        _field("source", source),
+        _field("players", game.n),
+        _field("minimal_winning", len(game.minwin_masks)),
+        _field("maximal_losing", len(maximal_losing_masks(game))),
+        _field("complete", complete, verdict),
+    ]
     if complete:
         part = desirability.equivalence_classes(game)
-        out["class_sizes"] = list(part.sizes)
-        out["classes"] = [list(c) for c in part.classes]
-        out["minimal_winning_models"] = [list(m) for m in desirability.minimal_winning_models(game)]
-        out["shift_maximal_losing_models"] = [list(m) for m in desirability.shift_maximal_losing(game)]
-    out["veto"] = list(veto_players(game))
-    out["dummies"] = list(dummy_players(game))
+        classes = " > ".join("{" + ",".join(map(str, c)) + "}" for c in part.classes)
+        fields += [
+            ("class_sizes", list(part.sizes), None),
+            _field("classes", [list(c) for c in part.classes], classes),
+            _models_field("minimal_winning_models", desirability.minimal_winning_models(game)),
+            _models_field("shift_maximal_losing_models", desirability.shift_maximal_losing(game)),
+        ]
     wrep = lpsep.is_weighted(game)
-    out["weighted"] = _rep_json(wrep) if wrep else None
-    rrep = lpsep.is_roughly_weighted(game)
-    out["roughly_weighted"] = _rep_json(rrep) if rrep else None
-    cert = None
+    fields += [
+        _players_field("veto", veto_players(game)),
+        _players_field("dummies", dummy_players(game)),
+        _rep_field("weighted", wrep),
+        _rep_field("roughly_weighted", lpsep.is_roughly_weighted(game)),
+    ]
     if args.certificates and wrep is None:
         cert = certificates.find_certificate(game, max_len=args.max_len)
-        out["certificate"] = (
-            {
-                "pre": [list(c.members) for c in cert.pre],
-                "post": [list(c.members) for c in cert.post],
-            }
-            if cert
-            else None
-        )
-    if args.json:
-        print(json.dumps(out, sort_keys=True))
-        return EXIT_OK
-    print(f"source: {source}")
-    print(f"players: {game.n}")
-    print(f"minimal-winning: {out['minimal_winning']}")
-    print(f"maximal-losing: {out['maximal_losing']}")
-    if complete is None:
-        print("complete: not computed (player count above the table gate)")
-    else:
-        print(f"complete: {'yes' if complete else 'no'}")
-    if complete:
-        print(f"classes: {' > '.join('{' + ','.join(map(str, c)) + '}' for c in out['classes'])}")
-        print(
-            "minimal-winning-models: "
-            + " ".join(format_model(m) for m in reversed(out["minimal_winning_models"]))
-        )
-        print(
-            "shift-maximal-losing-models: "
-            + " ".join(format_model(m) for m in reversed(out["shift_maximal_losing_models"]))
-        )
-    print(f"veto: {','.join(map(str, out['veto'])) or '-'}")
-    print(f"dummies: {','.join(map(str, out['dummies'])) or '-'}")
-    print(f"weighted: {'yes ' + format_rep(wrep) if wrep else 'no'}")
-    print(f"roughly-weighted: {'yes ' + format_rep(rrep) if rrep else 'no'}")
-    if args.certificates and wrep is None:
-        print(
-            format_certificate(cert)
-            if cert
-            else f"certificate: none found within length {args.max_len} (bound-relative)"
-        )
+        value = cert and {"pre": _member_lists(cert.pre), "post": _member_lists(cert.post)}
+        none = f"certificate: none found within length {args.max_len} (bound-relative)"
+        fields.append(("certificate", value, format_certificate(cert) if cert else none))
+    _print_report(fields, args.json)
     return EXIT_OK
 
 
@@ -306,57 +317,33 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_dimension(args) -> int:
-    game, source = _game_from_args(args)
-    if args.lower_only:
-        lower, witness = dimension.kurz_napel_lower(game)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "source": source,
-                        "players": game.n,
-                        "lower": lower,
-                        "witness_lower": [list(c.members) for c in witness],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"source: {source}")
-            print(f"lower: {lower}")
-            print("witness-lower: " + ",".join(format_coalition(c) for c in witness))
-        return EXIT_OK
     budget = dimension.Budget(
         max_lmax=args.budget, clique_exact=max(args.budget, dimension.Budget.clique_exact)
     )
+    game, source = _game_from_args(args)
+    if args.lower_only:
+        lower, witness = dimension.kurz_napel_lower(game, budget.clique_exact)
+        fields = [_field("source", source), ("players", game.n, None), _field("lower", lower)]
+        _print_report(fields + [_witness_field(witness)], args.json)
+        return EXIT_OK
     report = dimension.exact_dimension(game, budget)
-    payload = {
-        "source": source,
-        "players": report.n,
-        "maximal_losing": report.num_maximal_losing,
-        "lower": report.lower,
-        "upper": report.upper,
-        "exact": report.exact,
-        "witness_lower": [list(c.members) for c in report.witness_lower],
-        "parts": [_rep_json(p) for p in report.witness_upper.parts] if report.witness_upper else None,
-        "notes": list(report.notes),
-    }
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"source: {source}")
-        print(f"players: {report.n}")
-        print(f"maximal-losing: {report.num_maximal_losing}")
-        print(f"lower: {report.lower}")
-        print(f"upper: {report.upper}")
-        print(f"exact: {report.exact if report.exact is not None else 'not determined (budget)'}")
-        if report.witness_lower:
-            print("witness-lower: " + ",".join(format_coalition(c) for c in report.witness_lower))
-        if report.witness_upper and report.exact is not None:
-            for i, part in enumerate(report.witness_upper.parts, start=1):
-                print(f"part {i}: {format_rep(part)}")
-        for note in report.notes:
-            print(f"note: {note}")
+    exact = report.exact if report.exact is not None else "not determined (budget)"
+    parts = [_rep(p) for p in report.witness_upper.parts] if report.witness_upper else None
+    fields = [
+        _field("source", source),
+        _field("players", report.n),
+        _field("maximal_losing", report.num_maximal_losing),
+        _field("lower", report.lower),
+        _field("upper", report.upper),
+        _field("exact", report.exact, exact),
+        _witness_field(report.witness_lower, shown=bool(report.witness_lower)),
+        ("parts", [value for value, _ in parts] if parts else None, None),
+        ("notes", list(report.notes), None),
+    ]
+    if parts and report.exact is not None:
+        fields += [(None, None, f"part {i}: {text}") for i, (_, text) in enumerate(parts, start=1)]
+    fields += [(None, None, f"note: {note}") for note in report.notes]
+    _print_report(fields, args.json)
     return EXIT_OK if report.exact is not None else EXIT_BUDGET
 
 

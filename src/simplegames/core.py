@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -34,9 +35,24 @@ def _popcount(x: int) -> int:
     return x.bit_count()
 
 
-def _check_player_count(n: int) -> None:
+def _integer(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``; a bool or a
+    non-integer raises :class:`InvalidGameError`."""
+    if type(value) is int:  # the common case, ahead of the slower checks
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidGameError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_player_count(n) -> int:
+    n = _integer(n, "player count")
     if not 1 <= n <= MAX_PLAYERS:
         raise InvalidGameError(f"player count {n} outside 1..{MAX_PLAYERS}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -52,8 +68,8 @@ class Coalition:
     n: int
 
     def __post_init__(self) -> None:
-        _check_player_count(self.n)
-        if not 0 <= self.mask < (1 << self.n):
+        n = _check_player_count(self.n)
+        if not 0 <= _integer(self.mask, "coalition mask") < (1 << n):
             raise InvalidGameError(
                 f"coalition {bin(self.mask)} has members outside 0..{self.n - 1}"
             )
@@ -299,9 +315,9 @@ def make_game(n: int, claimed_min_winning: Iterable[Coalition]) -> SimpleGame:
 
 def make_game_from_masks(n: int, masks: Iterable[int]) -> SimpleGame:
     """Mask-level variant of :func:`make_game` (same reduction rules)."""
-    _check_player_count(n)
+    n = _check_player_count(n)
     full = (1 << n) - 1
-    ms = list(masks)
+    ms = [_integer(m, "mask") for m in masks]
     for m in ms:
         if m & ~full:
             raise InvalidGameError(f"mask {bin(m)} has members outside 0..{n - 1}")

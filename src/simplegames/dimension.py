@@ -26,6 +26,7 @@ from .core import (
     dual as dual_game,
     maximal_losing_masks,
     _bits,
+    _integer,
     _popcount,
 )
 from .desirability import Model
@@ -49,8 +50,9 @@ class Budget:
 
     def __post_init__(self) -> None:
         for name in ("max_lmax", "clique_exact", "max_nodes"):
-            if getattr(self, name) < 0:
-                raise InvalidGameError(f"budget {name} must be nonnegative, got {getattr(self, name)}")
+            value = _integer(getattr(self, name), f"budget {name}")
+            if value < 0:
+                raise InvalidGameError(f"budget {name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)

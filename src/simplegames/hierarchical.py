@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import MAX_PLAYERS, Coalition, InvalidGameError, SimpleGame
+from .core import MAX_PLAYERS, Coalition, InvalidGameError, SimpleGame, _integer
 from .desirability import Model, _model_antichains
 
 _MODEL_SPACE_LIMIT = 4_000_000
@@ -85,9 +84,8 @@ def _integers(values, name: str) -> tuple[int, ...]:
     non-iterable raises :class:`InvalidGameError`."""
     try:
         values = tuple(values)
-        if not any(isinstance(v, bool) for v in values):
-            return tuple(map(operator.index, values))
-    except TypeError:
+        return tuple(_integer(v, name) for v in values)
+    except (TypeError, InvalidGameError):
         pass
     raise InvalidGameError(f"{name} must be a sequence of integers, got {values!r}")
 
@@ -271,6 +269,7 @@ def losing_witness_family(k: int, m: int) -> tuple[SimpleGame, tuple[Coalition, 
 def build_tripartite(n: tuple[int, int, int], k: tuple[int, int, int]) -> SimpleGame:
     """Three-class game winning on ``|C1|>=k1`` or (``|C1|+|C2|>=k2`` and
     ``|C1|+|C2|+|C3|>=k3``)."""
+    n, k = _integers(n, "class sizes"), _integers(k, "thresholds")
     n1, n2, n3 = n
     k1, k2, k3 = k
     if min(n) < 1:

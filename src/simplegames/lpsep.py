@@ -36,6 +36,7 @@ from .core import (
     maximal_losing_masks,
     _bits,
     _check_player_count,
+    _integer,
     _popcount,
 )
 
@@ -130,7 +131,7 @@ def separable(
     player count and masks with members outside ``0..n-1`` raise
     :class:`InvalidGameError`.
     """
-    _check_player_count(n)
+    n = _check_player_count(n)
     win = antichain_reduce(_checked_masks(n, must_win))
     lose = _checked_masks(n, must_lose)
     for y in lose:
@@ -151,7 +152,7 @@ def _checked_masks(n: int, coalitions: Iterable[Coalition | int]) -> list[int]:
     for c in coalitions:
         if isinstance(c, Coalition) and c.n != n:
             raise InvalidGameError(f"coalition over {c.n} players, separation over {n}")
-        mask = c.mask if isinstance(c, Coalition) else int(c)
+        mask = c.mask if isinstance(c, Coalition) else _integer(c, "mask")
         if not 0 <= mask < 1 << n:
             raise InvalidGameError(f"mask {mask} has members outside 0..{n - 1}")
         masks.append(mask)

@@ -235,3 +235,36 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     assert lines and all(line.startswith("simplegames ") for line in lines)
     for line in lines:
         assert main(shlex.split(line)[1:]) == EXIT_OK, line
+
+
+@pytest.mark.parametrize("game", [["--hier", "disj", "--n", "2,3", "--k", "2,3"],
+                                  ["--hier", "disj", "--n", "2,4", "--k", "2,4"]])
+def test_max_len_below_two_exits_usage_on_any_game(game, capsys):
+    """The weighted game runs no search; it used to exit 0 here."""
+    assert main(["analyze", *game, "--certificates", "--max-len", "1"]) == EXIT_USAGE
+    assert "--max-len 1" in capsys.readouterr().err
+
+
+def test_lower_only_checks_the_budget(capsys):
+    args = ["dimension", "--hier", "disj", "--n", "2,4", "--k", "2,4", "--budget", "-3"]
+    assert main(args + ["--lower-only"]) == EXIT_USAGE
+    assert "budget max_lmax must be nonnegative" in capsys.readouterr().err
+
+
+def test_lower_only_uses_the_budget_for_its_clique(capsys):
+    """Above 200 vertices the clique was greedy whatever the budget."""
+    args = ["dimension", "--hier", "conj", "--n", "4,4,4", "--k", "2,4,7", "--budget", "600"]
+    assert main(args + ["--lower-only"]) == EXIT_OK
+    witness = "witness-lower: {1,2,3,8,9,10,11},{3,4,5,6,7,8,9,10,11}"
+    assert witness in capsys.readouterr().out.splitlines()
+    assert main(args) == EXIT_OK
+    assert witness in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("flags", [["--n", "3"], ["--k", "2"], ["--n", "2,5", "--k", "2,5"]])
+def test_class_lists_without_hier_exit_usage(flags, tmp_path, capsys):
+    path = tmp_path / "un.game"
+    path.write_text(UN_FILE)
+    assert main(["analyze", "--game", str(path), *flags]) == EXIT_USAGE
+    assert main(["dimension", "--os3", "k=2", "m=2", *flags]) == EXIT_USAGE
+    assert "--n and --k need --hier" in capsys.readouterr().err

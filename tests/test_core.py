@@ -39,6 +39,12 @@ class TestCoalition:
         with pytest.raises(InvalidGameError):
             Coalition(1 << 8, 8)
 
+    @pytest.mark.parametrize("mask, n", [(1.5, 3), (1, 3.0), (True, 3), (1, True), ("1", 3)])
+    def test_rejects_non_integer_mask_or_player_count(self, mask, n):
+        # Coalition(1.5, 3) used to be built and fail later in .members
+        with pytest.raises(InvalidGameError, match="must be an integer"):
+            Coalition(mask, n)
+
     def test_set_algebra(self):
         a = Coalition.of([0, 1], 4)
         b = Coalition.of([1, 2], 4)
@@ -69,6 +75,12 @@ class TestMakeGame:
     def test_rejects_bad_player_index(self):
         with pytest.raises(InvalidGameError):
             make_game(3, [Coalition.of([0, 1], 4)])
+
+    def test_rejects_non_integer_masks_and_player_counts(self):
+        # each used to raise a bare TypeError
+        for n, masks in ((3.0, [3]), (3, [1.5]), (3, ["3"]), (True, [1])):
+            with pytest.raises(InvalidGameError, match="must be an integer"):
+                make_game_from_masks(n, masks)
 
     def test_empty_input_is_the_all_lose_game(self):
         g = make_game(4, [])

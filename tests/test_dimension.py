@@ -219,6 +219,13 @@ class TestBudget:
     def test_accepts_zero(self):
         assert Budget(max_lmax=0, clique_exact=0, max_nodes=0).max_nodes == 0
 
+    @pytest.mark.parametrize("value", [2.5, True, "5", None])
+    def test_rejects_non_integer_fields(self, value):
+        # 2.5 and True used to be accepted, "5" and None to raise a bare TypeError
+        for field in ("max_lmax", "clique_exact", "max_nodes"):
+            with pytest.raises(InvalidGameError, match=f"budget {field} must be an integer"):
+                Budget(**{field: value})
+
 
 class TestTrivialGames:
     """All-winning and all-losing games have dimension and codimension 1 on

@@ -274,6 +274,16 @@ class TestTripartite:
         with pytest.raises(InvalidGameError, match="class sizes"):
             build_tripartite(n, k)
 
+    @pytest.mark.parametrize(
+        "n, k", [((2.0, 2, 2), (1, 2, 3)), (("2", 2, 2), (1, 2, 3)), ((True, 2, 2), (1, 2, 3)),
+                 ((2, 2, 2), (1, 2.5, 3)), (6, (1, 2, 3))],
+    )
+    def test_rejects_non_integer_sizes_and_thresholds(self, n, k):
+        """2.0 and "2" used to raise a bare TypeError and True to build a
+        5-player game."""
+        with pytest.raises(InvalidGameError, match="integers"):
+            build_tripartite(n, k)
+
     def test_predicate(self):
         n, k = (2, 3, 2), (2, 3, 4)
         g = build_tripartite(n, k)

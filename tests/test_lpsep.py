@@ -67,6 +67,12 @@ class TestSeparable:
             with pytest.raises(InvalidGameError):
                 separable(3, win, lose)
 
+    def test_rejects_non_integer_masks(self):
+        # 1.5 and "3" used to be read as the masks 1 and 3
+        for win, lose in (([1.5], []), (["3"], []), ([], [True]), ([], [2.0])):
+            with pytest.raises(InvalidGameError, match="mask must be an integer"):
+                separable(3, win, lose)
+
     def test_rejects_player_counts_outside_the_cap(self):
         for n, win, lose in ((0, [], []), (-1, [], []), (MAX_PLAYERS + 1, [1], [2]), (70, [1], [2])):
             with pytest.raises(InvalidGameError, match="player count"):
