@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from simplegames import Coalition, HierarchicalSpec, Kind, build, make_game
+from simplegames import Coalition, HierarchicalSpec, Kind, build, make_game, make_game_from_masks
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +36,10 @@ def h_disj_25():
 def h_conj_444():
     """Three-class conjunctive game, sizes (4,4,4), thresholds (2,4,7)."""
     return build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7)))
+
+
+@pytest.fixture(scope="session")
+def two_halves():
+    """22 players; a coalition wins iff it meets both {0..10} and {11..21}.
+    Its two maximal losing coalitions are the halves, 22 players apart."""
+    return make_game_from_masks(22, [1 << i | 1 << j for i in range(11) for j in range(11, 22)])

@@ -208,6 +208,16 @@ class TestRoughWeightedness:
         assert rep is not None
         assert verify_representation(g, rep)
 
+    def test_quota_zero_branch_needs_the_passer(self):
+        # three disjoint pairs admit no quota-1 system; only passer 6 saves it
+        pairs = [0b11, 0b1100, 0b110000]
+        g = make_game_from_masks(7, [1 << 6] + pairs)
+        rep = is_roughly_weighted(g)
+        assert rep is not None
+        assert rep.weights == (0,) * 6 + (1,) and rep.quota == 0
+        assert verify_representation(g, rep)
+        assert is_roughly_weighted(make_game_from_masks(6, pairs)) is None
+
 
 class TestVerifyRepresentation:
     def test_un_council_textbook_weights(self, un_council):
