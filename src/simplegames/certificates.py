@@ -25,6 +25,7 @@ from .core import (
     SimpleGame,
     maximal_losing_masks,
     _bits,
+    _integer,
     _popcount,
 )
 from .lpsep import _primitive, separable_result
@@ -177,7 +178,7 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     proves no certificate of any length exists.  None with an infeasible LP
     whose assembled certificate exceeds ``max_len`` is bound-relative.
     """
-    if max_len < 2:
+    if _integer(max_len, "max_len") < 2:
         raise InvalidGameError("certificates have length at least 2")
     full = (1 << g.n) - 1
     if g.wins_mask(0) or not g.wins_mask(full):

@@ -76,9 +76,10 @@ class Coalition:
 
     @classmethod
     def of(cls, members: Iterable[int], n: int) -> "Coalition":
+        n = _check_player_count(n)
         mask = 0
         for i in members:
-            if not 0 <= i < n:
+            if not 0 <= _integer(i, "player") < n:
                 raise InvalidGameError(f"player {i} outside 0..{n - 1}")
             mask |= 1 << i
         return cls(mask, n)

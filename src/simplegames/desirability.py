@@ -30,6 +30,7 @@ from .core import (
     SimpleGame,
     TableSizeError,
     _bits,
+    _integer,
     _lane,
 )
 
@@ -65,6 +66,7 @@ def _violations(t: int, n: int, i: int, j: int) -> tuple[int, int]:
 
 def compare_players(g: SimpleGame, i: int, j: int) -> Outcome:
     """Isbell desirability verdict for an ordered pair of distinct players."""
+    i, j = _integer(i, "player"), _integer(j, "player")
     if i == j:
         raise InvalidGameError("compare_players needs two distinct players")
     if not (0 <= i < g.n and 0 <= j < g.n):

@@ -484,6 +484,7 @@ def kurz_napel_lower(
     The clique is exact up to ``clique_exact`` vertices and greedy beyond,
     which still yields a valid lower bound (then possibly not maximum).
     """
+    clique_exact = Budget(clique_exact=clique_exact).clique_exact
     verts = maximal_losing_masks(g)
     if not verts:
         return 1, ()

@@ -270,6 +270,8 @@ def build_tripartite(n: tuple[int, int, int], k: tuple[int, int, int]) -> Simple
     """Three-class game winning on ``|C1|>=k1`` or (``|C1|+|C2|>=k2`` and
     ``|C1|+|C2|+|C3|>=k3``)."""
     n, k = _integers(n, "class sizes"), _integers(k, "thresholds")
+    if len(n) != 3 or len(k) != 3:
+        raise InvalidGameError(f"tripartite games have three classes, got n={n}, k={k}")
     n1, n2, n3 = n
     k1, k2, k3 = k
     if min(n) < 1:

@@ -44,3 +44,9 @@ def test_balanced_transform_with_losing_pres_is_rejected():
     one, two = Coalition.of([0], 2), Coalition.of([1], 2)
     assert verify_certificate(unanimity, TradingTransform((one, two), (one, two))) is False
 
+
+
+@pytest.mark.parametrize("max_len", [2.5, "4", True])
+def test_find_certificate_rejects_a_non_integer_length(max_len):
+    with pytest.raises(InvalidGameError):
+        find_certificate(make_game_from_masks(4, [0b0011, 0b1100]), max_len)

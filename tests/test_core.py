@@ -9,6 +9,7 @@ import oracles
 from simplegames import (
     Coalition,
     InvalidGameError,
+    compare_players,
     dual,
     dummy_players,
     is_winning,
@@ -44,6 +45,18 @@ class TestCoalition:
         # Coalition(1.5, 3) used to be built and fail later in .members
         with pytest.raises(InvalidGameError, match="must be an integer"):
             Coalition(mask, n)
+
+    @pytest.mark.parametrize("members, n", [([1.0], 3), (["1"], 3), ([True], 3), ([1], 3.0)])
+    def test_of_rejects_non_integer_players(self, members, n):
+        # [1.0] and [1], 3.0 used to raise a bare TypeError, [True] to build {1}
+        with pytest.raises(InvalidGameError, match="must be an integer"):
+            Coalition.of(members, n)
+
+    @pytest.mark.parametrize("i, j", [(True, 2), (1.0, 2), (0, "2")])
+    def test_compare_players_rejects_non_integer_players(self, majority5, i, j):
+        # True used to count as player 1, 1.0 and "2" to raise a bare TypeError
+        with pytest.raises(InvalidGameError, match="player must be an integer"):
+            compare_players(majority5, i, j)
 
     def test_set_algebra(self):
         a = Coalition.of([0, 1], 4)

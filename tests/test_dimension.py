@@ -219,6 +219,12 @@ class TestBudget:
     def test_accepts_zero(self):
         assert Budget(max_lmax=0, clique_exact=0, max_nodes=0).max_nodes == 0
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True, "5"])
+    def test_kurz_napel_lower_checks_clique_exact_like_budget(self, majority5, value):
+        # -1 and 2.5 used to run silently, "5" to raise a bare TypeError
+        with pytest.raises(InvalidGameError, match="budget clique_exact"):
+            kurz_napel_lower(majority5, value)
+
     @pytest.mark.parametrize("value", [2.5, True, "5", None])
     def test_rejects_non_integer_fields(self, value):
         # 2.5 and True used to be accepted, "5" and None to raise a bare TypeError

@@ -284,6 +284,12 @@ class TestTripartite:
         with pytest.raises(InvalidGameError, match="integers"):
             build_tripartite(n, k)
 
+    @pytest.mark.parametrize("n, k", [((2, 2), (1, 2, 3)), ((2, 2, 2, 2), (1, 2, 3, 4))])
+    def test_rejects_lists_without_three_classes(self, n, k):
+        # both used to raise a bare ValueError from tuple unpacking
+        with pytest.raises(InvalidGameError, match="three classes"):
+            build_tripartite(n, k)
+
     def test_predicate(self):
         n, k = (2, 3, 2), (2, 3, 4)
         g = build_tripartite(n, k)
