@@ -24,7 +24,6 @@ from .core import (
     InvalidGameError,
     SimpleGame,
     maximal_losing_masks,
-    _bits,
     _integer,
     _popcount,
 )
@@ -103,12 +102,21 @@ def verify_certificate(g: SimpleGame, tt: TradingTransform) -> bool:
     return True
 
 
-def _canonical(n: int, pre_masks: list[int], post_masks: list[int]) -> TradingTransform:
+def _checked_certificate(
+    g: SimpleGame, pre: Iterable[int], post: Iterable[int], route: str
+) -> TradingTransform:
+    """The transform from masks ``pre`` to masks ``post``, each side in
+    canonical (cardinality, mask) order, once ``verify_certificate`` has
+    accepted it; a rejected one raises ``AssertionError`` naming ``route``."""
     key = lambda m: (_popcount(m), m)
-    return TradingTransform(
-        tuple(Coalition(m, n) for m in sorted(pre_masks, key=key)),
-        tuple(Coalition(m, n) for m in sorted(post_masks, key=key)),
+    n = g.n
+    tt = TradingTransform(
+        tuple(Coalition(m, n) for m in sorted(pre, key=key)),
+        tuple(Coalition(m, n) for m in sorted(post, key=key)),
     )
+    if not verify_certificate(g, tt):
+        raise AssertionError(f"{route} certificate failed verification")
+    return tt
 
 
 def pair_incompatibility_certificate(
@@ -132,12 +140,7 @@ def pair_incompatibility_certificate(
     if _popcount(y1.mask ^ y2.mask) > MAX_TABLE_PLAYERS:
         raise InvalidGameError("symmetric difference too large for the pattern scan")
     split = _swap_split(g, y1.mask, y2.mask, True)
-    if split is None:
-        return None
-    tt = _canonical(g.n, list(split), [y1.mask, y2.mask])
-    if not verify_certificate(g, tt):
-        raise AssertionError("pair certificate failed verification")
-    return tt
+    return None if split is None else _checked_certificate(g, split, (y1.mask, y2.mask), "pair")
 
 
 def _swap_split(g: SimpleGame, a: int, b: int, win: bool) -> tuple[int, int] | None:
@@ -190,22 +193,16 @@ def find_certificate(g: SimpleGame, max_len: int = 4) -> TradingTransform | None
     if lpsep.is_weighted(g) is not None:
         return None  # weighted: no certificate of any length exists
     maxlose = maximal_losing_masks(g)
-    for a in range(len(maxlose)):
-        for b in range(a + 1, len(maxlose)):
-            if _popcount(maxlose[a] ^ maxlose[b]) > MAX_TABLE_PLAYERS:
-                continue
-            cert = pair_incompatibility_certificate(
-                g, Coalition(maxlose[a], g.n), Coalition(maxlose[b], g.n)
-            )
-            if cert is not None:
-                return cert
+    for a, ya in enumerate(maxlose):
+        for yb in maxlose[a + 1 :]:
+            split = _swap_split(g, ya, yb, True)
+            if split is not None:
+                return _checked_certificate(g, split, (ya, yb), "pair")
     res = separable_result(g.n, g.minwin_masks, maxlose)
     if res.feasible:
         raise AssertionError("weightedness check and separation LP disagree")
     cert = _certificate_from_farkas(g, res.nums, g.minwin_masks, maxlose)
-    if cert is not None and cert.length <= max_len:
-        return cert
-    return None
+    return cert if cert.length <= max_len else None
 
 
 def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransform:
@@ -234,49 +231,25 @@ def _certificate_from_farkas(
     farkas: Sequence[int],
     win_rows: Sequence[int],
     lose_rows: Sequence[int],
-) -> TradingTransform | None:
-    """Assemble a certificate from exact multipliers of the infeasible LP,
-    given as integer numerators over a common positive denominator.
+) -> TradingTransform:
+    """Assemble a certificate from the exact multipliers of the infeasible
+    LP over the rows [win_rows; lose_rows; q >= 1], given as integer
+    numerators over a common positive denominator.
 
-    Integer multipliers give per-player winning counts at most the losing
-    counts and at least as many pre as post coalitions.  Padding with
-    empty losing coalitions equalises the lengths, after which each player
-    deficit is absorbed by enlarging pre-coalitions (supersets stay winning).
+    Scaled to integers, the multipliers put each player in at least as many
+    post (losing) as pre (winning) coalitions, and give at least as many
+    pres as posts (the quota column).  Padding with empty losing coalitions
+    equalises the lengths, so each player's deficit is at most the number
+    of pres without it, and it joins the first of those (supersets stay
+    winning).  Posts exist unless every pre is empty: the all-win game.
     """
     ints = _primitive(farkas[: len(win_rows) + len(lose_rows)])
-    if not ints:
-        return None
-    lam = ints[: len(win_rows)]
-    mu = ints[len(win_rows) :]
-    pre: list[int] = []
-    post: list[int] = []
-    for mask, count in zip(win_rows, lam):
-        pre.extend([mask] * count)
-    for mask, count in zip(lose_rows, mu):
-        post.extend([mask] * count)
-    if len(pre) < len(post) or not post:
-        return None  # cannot arise from a valid certificate; caller re-checks
-    post.extend([0] * (len(pre) - len(post)))
-    counts = [0] * g.n
-    for m in pre:
-        for p in _bits(m):
-            counts[p] -= 1
-    for m in post:
-        for p in _bits(m):
-            counts[p] += 1
-    for p, deficit in enumerate(counts):
-        if deficit < 0:
-            return None
+    pre = [m for m, k in zip(win_rows, ints) for _ in range(k)]
+    post = [m for m, k in zip(lose_rows, ints[len(win_rows) :]) for _ in range(k)]
+    post += [0] * (len(pre) - len(post))
+    for p in range(g.n):
         bit = 1 << p
-        idx = 0
-        while deficit > 0 and idx < len(pre):
-            if not pre[idx] & bit:
-                pre[idx] |= bit
-                deficit -= 1
-            idx += 1
-        if deficit > 0:
-            return None
-    tt = _canonical(g.n, pre, post)
-    if not verify_certificate(g, tt):
-        raise AssertionError("Farkas certificate failed verification")
-    return tt
+        deficit = sum(m >> p & 1 for m in post) - sum(m >> p & 1 for m in pre)
+        for i in [i for i, m in enumerate(pre) if not m & bit][:deficit]:
+            pre[i] |= bit
+    return _checked_certificate(g, pre, post, "Farkas")
