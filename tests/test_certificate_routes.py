@@ -1,5 +1,5 @@
-"""``find_certificate`` routes that the small games of ``test_certificates``
-never reach, and edge cases of ``verify_certificate``."""
+"""The ``find_certificate`` route that small games never reach, its input
+check, and an edge case of ``verify_certificate``."""
 
 import pytest
 
