@@ -19,9 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from operator import and_, or_
 
-from .core import Coalition, InvalidGameError, SimpleGame, dual as dual_game
-from .lpsep import WeightedRep, is_weighted, threshold_table, weighted_game
+from .core import Coalition, InvalidGameError, SimpleGame, maximal_losing_masks
+from .core import _bits, _matches_antichains
+from .lpsep import WeightedRep, _canonical_rep, _trivial_all_win_rep, threshold_table
 
 
 @dataclass(frozen=True)
@@ -70,23 +73,22 @@ def _leaves(f: BoolFormula):
 
 def eval_formula(f: BoolFormula, x: Coalition) -> bool:
     """Monotone evaluation of the formula on one coalition."""
+    if formula_players(f) != x.n:
+        raise InvalidGameError("coalition and leaf player counts differ")
+    return _holds(f, _bits(x.mask))
+
+
+def _holds(f: BoolFormula, members: list[int]) -> bool:
+    """The formula's verdict on the coalition of the players ``members``."""
     if isinstance(f, Leaf):
-        if f.rep.n != x.n:
-            raise InvalidGameError("coalition and leaf player counts differ")
-        return f.rep.wins_mask(x.mask)
-    if isinstance(f, And):
-        return all(eval_formula(c, x) for c in f.children)
-    return any(eval_formula(c, x) for c in f.children)
+        return f.rep._wins(members)
+    return (all if isinstance(f, And) else any)(_holds(c, members) for c in f.children)
 
 
 def _formula_table(f: BoolFormula, n: int) -> int:
     if isinstance(f, Leaf):
         return threshold_table(f.rep.weights, f.rep.quota, n)
-    tables = [_formula_table(c, n) for c in f.children]
-    out = tables[0]
-    for t in tables[1:]:
-        out = (out & t) if isinstance(f, And) else (out | t)
-    return out
+    return reduce(and_ if isinstance(f, And) else or_, (_formula_table(c, n) for c in f.children))
 
 
 def formula_game(f: BoolFormula, n: int | None = None) -> SimpleGame:
@@ -103,10 +105,14 @@ def formula_size(f: BoolFormula) -> int:
 
 
 def _dual_leaf(rep: WeightedRep) -> Leaf:
-    dual_rep = is_weighted(dual_game(weighted_game(rep)))
-    if dual_rep is None:
-        raise AssertionError("the dual of a weighted game is weighted")
-    return Leaf(dual_rep)
+    """The leaf of the dual game.  X wins there iff its complement loses in
+    ``rep``: iff ``w(X) > sum(w) - q``, that is ``w(X) >= sum(w) - q + 1``
+    on the integer view.  Below one, that quota lets every coalition win."""
+    *weights, q = rep._view[0]
+    quota = sum(weights) - q + 1
+    if quota < 1:
+        return Leaf(_trivial_all_win_rep(rep.n))
+    return Leaf(_canonical_rep(weights + [quota]))
 
 
 def formula_dual(f: BoolFormula) -> BoolFormula:
@@ -122,10 +128,11 @@ def formula_dual(f: BoolFormula) -> BoolFormula:
 
 
 def verify_boolean_rep(g: SimpleGame, f: BoolFormula) -> bool:
-    """True iff the formula denotes exactly the given game."""
+    """True iff the formula denotes exactly the given game, decided on the
+    game's minimal winning and maximal losing coalitions at any player count."""
     if formula_players(f) != g.n:
         raise InvalidGameError("formula and game player counts differ")
-    return formula_game(f) == g
+    return _matches_antichains(partial(_holds, f), g.minwin_masks, maximal_losing_masks(g))
 
 
 # -- text syntax ---------------------------------------------------------------

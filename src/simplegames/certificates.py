@@ -24,8 +24,9 @@ from .core import (
     InvalidGameError,
     SimpleGame,
     maximal_losing_masks,
+    _canonical_key,
+    _coalition,
     _integer,
-    _popcount,
 )
 from .lpsep import _primitive, separable_result
 
@@ -107,12 +108,12 @@ def _checked_certificate(
 ) -> TradingTransform:
     """The transform from masks ``pre`` to masks ``post``, each side in
     canonical (cardinality, mask) order, once ``verify_certificate`` has
-    accepted it; a rejected one raises ``AssertionError`` naming ``route``."""
-    key = lambda m: (_popcount(m), m)
+    accepted it; a rejected one raises ``AssertionError`` naming ``route``.
+    The masks come from ``g``'s own coalitions, so they skip the range check."""
     n = g.n
     tt = TradingTransform(
-        tuple(Coalition(m, n) for m in sorted(pre, key=key)),
-        tuple(Coalition(m, n) for m in sorted(post, key=key)),
+        tuple([_coalition(m, n) for m in sorted(pre, key=_canonical_key)]),
+        tuple([_coalition(m, n) for m in sorted(post, key=_canonical_key)]),
     )
     if not verify_certificate(g, tt):
         raise AssertionError(f"{route} certificate failed verification")
@@ -137,7 +138,7 @@ def pair_incompatibility_certificate(
         raise InvalidGameError("coalitions and game player counts differ")
     if g.wins_mask(y1.mask) or g.wins_mask(y2.mask):
         raise InvalidGameError("both post coalitions must be losing")
-    if _popcount(y1.mask ^ y2.mask) > MAX_TABLE_PLAYERS:
+    if (y1.mask ^ y2.mask).bit_count() > MAX_TABLE_PLAYERS:
         raise InvalidGameError("symmetric difference too large for the pattern scan")
     split = _swap_split(g, y1.mask, y2.mask, True)
     return None if split is None else _checked_certificate(g, split, (y1.mask, y2.mask), "pair")
@@ -152,7 +153,7 @@ def _swap_split(g: SimpleGame, a: int, b: int, win: bool) -> tuple[int, int] | N
     without a table each of its 2**20+ tests scans the minimal winning list.
     """
     delta = a ^ b
-    if delta == 0 or _popcount(delta) > MAX_TABLE_PLAYERS:
+    if delta == 0 or delta.bit_count() > MAX_TABLE_PLAYERS:
         return None
     both = a & b
     low = delta & -delta
@@ -209,21 +210,8 @@ def _incomparability_certificate(g: SimpleGame, i: int, j: int) -> TradingTransf
     # win1 = X|{j} wins, X|{i} loses; win2 symmetric
     win1, win2 = desirability.incomparability_witness(g, i, j)
     bi, bj = 1 << i, 1 << j
-    post1 = (win1 ^ bj) | bi
-    post2 = (win2 ^ bi) | bj
-    # canonical (popcount, mask) order; each post has its pre's popcount
-    c1, c2 = win1.bit_count(), win2.bit_count()
-    if (c1, win1) > (c2, win2):
-        win1, win2 = win2, win1
-    if (c1, post1) > (c2, post2):
-        post1, post2 = post2, post1
-    n = g.n
-    tt = TradingTransform(
-        (Coalition(win1, n), Coalition(win2, n)), (Coalition(post1, n), Coalition(post2, n))
-    )
-    if not verify_certificate(g, tt):
-        raise AssertionError("incomparability certificate failed verification")
-    return tt
+    post1, post2 = (win1 ^ bj) | bi, (win2 ^ bi) | bj
+    return _checked_certificate(g, (win1, win2), (post1, post2), "incomparability")
 
 
 def _certificate_from_farkas(

@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_PLAYERS = 63
 MAX_TABLE_PLAYERS = 20
@@ -31,8 +31,9 @@ class TableSizeError(ValueError):
     """Operation needs an exhaustive truth table but n exceeds the gate."""
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
+def _canonical_key(mask: int) -> tuple[int, int]:
+    """The canonical order of coalitions: cardinality first, then mask."""
+    return (mask.bit_count(), mask)
 
 
 def _integer(value, what: str) -> int:
@@ -79,10 +80,10 @@ class Coalition:
         n = _check_player_count(n)
         mask = 0
         for i in members:
-            if not 0 <= _integer(i, "player") < n:
+            if not 0 <= (i := _integer(i, "player")) < n:
                 raise InvalidGameError(f"player {i} outside 0..{n - 1}")
             mask |= 1 << i
-        return cls(mask, n)
+        return _coalition(mask, n)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -92,7 +93,7 @@ class Coalition:
         return 0 <= player < self.n and bool(self.mask >> player & 1)
 
     def __len__(self) -> int:
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members)
@@ -113,10 +114,20 @@ class Coalition:
         return Coalition(~self.mask & ((1 << self.n) - 1), self.n)
 
     def sort_key(self) -> tuple[int, int]:
-        return (_popcount(self.mask), self.mask)
+        return _canonical_key(self.mask)
 
     def __repr__(self) -> str:
         return f"Coalition({{{','.join(map(str, self.members))}}}, n={self.n})"
+
+
+def _coalition(mask: int, n: int) -> Coalition:
+    """A :class:`Coalition` built without its checks, for a mask over
+    ``n`` players that is already known to lie in range."""
+    c = object.__new__(Coalition)
+    fields = c.__dict__
+    fields["mask"] = mask
+    fields["n"] = n
+    return c
 
 
 # --- truth-table algebra on int bitfields ---------------------------------
@@ -235,7 +246,7 @@ class SimpleGame:
     # games get their order here.
     @classmethod
     def _from_minwin_masks(cls, n: int, masks: Iterable[int]) -> "SimpleGame":
-        canon = tuple(sorted(set(masks), key=lambda m: (_popcount(m), m)))
+        canon = tuple(sorted(set(masks), key=_canonical_key))
         return cls(n, canon)
 
     @classmethod
@@ -248,7 +259,7 @@ class SimpleGame:
     def minwin_masks(self) -> tuple[int, ...]:
         if self._minwin is None:
             masks = minwin_from_table(self._table, self.n)  # type: ignore[arg-type]
-            self._minwin = tuple(sorted(masks, key=lambda m: (_popcount(m), m)))
+            self._minwin = tuple(sorted(masks, key=_canonical_key))
         return self._minwin
 
     @property
@@ -275,7 +286,7 @@ class SimpleGame:
 
     def num_winning(self) -> int:
         """|W| over all 2**n coalitions (table-gated)."""
-        return _popcount(self.table)
+        return self.table.bit_count()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimpleGame):
@@ -291,7 +302,7 @@ class SimpleGame:
 
 def antichain_reduce(masks: Iterable[int]) -> list[int]:
     """Subset-minimal elements, in canonical (cardinality, mask) order."""
-    ordered = sorted(set(masks), key=lambda m: (_popcount(m), m))
+    ordered = sorted(set(masks), key=_canonical_key)
     kept: list[int] = []
     for m in ordered:
         if not any(k & ~m == 0 for k in kept):
@@ -341,8 +352,20 @@ def maximal_losing_masks(g: SimpleGame) -> list[int]:
         masks = maxlose_from_table(g.table, g.n)
     else:
         masks = [(~t & ((1 << g.n) - 1)) for t in _minimal_transversals(g.minwin_masks, g.n)]
-    masks.sort(key=lambda m: (_popcount(m), m))
+    masks.sort(key=_canonical_key)
     return masks
+
+
+def _matches_antichains(
+    wins: Callable[[list[int]], bool], minwin: Iterable[int], maxlose: Iterable[int]
+) -> bool:
+    """True iff the monotone predicate ``wins`` on member lists is the game
+    with minimal winning coalitions ``minwin`` and maximal losing ones
+    ``maxlose``: iff it wins each of the first and loses each of the second.
+    Monotonicity decides the rest, since a winning coalition contains a
+    minimal winning one and a losing coalition lies in a maximal losing one.
+    Each coalition's member list is formed once."""
+    return all(wins(_bits(m)) for m in minwin) and not any(wins(_bits(y)) for y in maxlose)
 
 
 def dual(g: SimpleGame) -> SimpleGame:

@@ -16,7 +16,7 @@ from operator import and_
 from typing import Collection, Literal, Sequence
 
 from . import desirability
-from ._exactlp import RowBlock, _over_one_den
+from ._exactlp import RowBlock
 from .certificates import _swap_split
 from .core import (
     MAX_TABLE_PLAYERS,
@@ -27,7 +27,7 @@ from .core import (
     maximal_losing_masks,
     _bits,
     _integer,
-    _popcount,
+    _matches_antichains,
 )
 from .desirability import Model
 from .hierarchical import HierarchicalSpec, Kind
@@ -83,9 +83,7 @@ class DimensionReport:
 def intersect_games(parts: list[WeightedRep] | tuple[WeightedRep, ...], n: int) -> SimpleGame:
     """Game winning exactly where every part wins (table-gated)."""
     rep = IntersectionRep(n, tuple(parts))
-    table = (1 << (1 << n)) - 1
-    for part in rep.parts:
-        table &= threshold_table(part.weights, part.quota, n)
+    table = reduce(and_, (threshold_table(p.weights, p.quota, n) for p in rep.parts))
     return SimpleGame._from_table(n, table)
 
 
@@ -404,7 +402,7 @@ def _greedy_clique(adj: list[int]) -> list[int]:
         while cand:
             pick, pick_deg = -1, -1
             for v in _bits(cand):
-                deg = _popcount(cand & adj[v])
+                deg = (cand & adj[v]).bit_count()
                 if deg > pick_deg:
                     pick, pick_deg = v, deg
             clique.append(pick)
@@ -507,7 +505,7 @@ def _exists_cover(
     pre = seed_clique[:d]
     order = pre + sorted(
         (v for v in range(len(verts)) if v not in pre),
-        key=lambda v: (-_popcount(adj[v]), v),
+        key=lambda v: (-adj[v].bit_count(), v),
     )
     return _first_cover(oracle, verts, adj, order, len(pre), d, max_nodes)
 
@@ -591,22 +589,15 @@ def _check_cover(
 ) -> None:
     """Exact check that the parts combine to the game, at any player count.
 
-    Mode ``lose`` (intersection): every part wins every minimal winning
-    coalition (``fixed``) and every maximal losing coalition (``verts``)
-    loses in some part.  Mode ``win`` (union) is the dual: every part loses
-    every maximal losing coalition and every minimal winning coalition wins
-    in some part.  With nonnegative weights these antichain conditions
-    decide every coalition, so the check equals comparing truth tables.
+    Mode ``lose`` (intersection): the AND of the parts must win every
+    minimal winning coalition (``fixed``) and lose every maximal losing one
+    (``verts``).  Mode ``win`` (union): their OR must win every minimal
+    winning coalition (``verts``) and lose every maximal losing one
+    (``fixed``).  The parts are monotone, so this antichain test equals
+    comparing truth tables.
     """
-    lose = mode == "lose"
-    ints = [_over_one_den((*p.weights, p.quota))[0] for p in parts]  # weights, then the quota
-
-    def all_parts_handle(mask: int) -> bool:
-        # every part wins ``mask`` in lose mode, loses it in win mode
-        members = _bits(mask)
-        return all((sum([nums[i] for i in members]) >= nums[-1]) == lose for nums in ints)
-
-    if not all(map(all_parts_handle, fixed)) or any(map(all_parts_handle, verts)):
+    combine, minwin, maxlose = (all, fixed, verts) if mode == "lose" else (any, verts, fixed)
+    if not _matches_antichains(lambda xs: combine(p._wins(xs) for p in parts), minwin, maxlose):
         raise AssertionError(f"{mode} cover witness failed verification")
 
 

@@ -243,6 +243,7 @@ def losing_witness_family(k: int, m: int) -> tuple[SimpleGame, tuple[Coalition, 
     ``k**(m-1)`` losing coalitions that are pairwise incompatible, so the
     game's dimension is at least ``k**(m-1)``.
     """
+    k, m = _integer(k, "k"), _integer(m, "m")
     if k < 2 or m < 2:
         raise InvalidGameError("family needs k >= 2 and m >= 2")
     n_vec = (k,) + (2 * k,) * (m - 1)

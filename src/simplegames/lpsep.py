@@ -20,8 +20,10 @@ witnesses survive exact rational verification (see ``_exactlp``).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import desirability
@@ -35,28 +37,57 @@ from .core import (
     antichain_reduce,
     maximal_losing_masks,
     _bits,
+    _canonical_key,
     _check_player_count,
     _integer,
-    _popcount,
+    _matches_antichains,
 )
 
 _MODEL_SPACE_LIMIT = 5_000
 
 
+@dataclass(frozen=True)
 class _Weights:
-    """Player count and coalition weight, shared by both representation kinds."""
+    """Weights and a quota, with the input checks and the integer view that
+    both representation kinds share."""
 
     weights: tuple[Fraction, ...]
+    quota: Fraction
+
+    def __post_init__(self) -> None:
+        weights = tuple([_rational(w, "weight") for w in self.weights])
+        _check_player_count(len(weights))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "quota", _rational(self.quota, "quota"))
+        if any(w < 0 for w in self.weights):
+            raise InvalidGameError("weights must be nonnegative")
 
     @property
     def n(self) -> int:
         return len(self.weights)
 
+    @cached_property
+    def _view(self) -> tuple[list[int], int]:
+        """The weights, then the quota, as integer numerators over one
+        positive denominator, and that denominator."""
+        return _over_one_den((*self.weights, self.quota))
+
+    def _weight(self, members: Iterable[int]) -> int:
+        """The weight of the players ``members`` over the view's denominator."""
+        return sum(map(self._view[0].__getitem__, members))
+
     def weight_of_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
-        for i in _bits(mask):
-            total += self.weights[i]
-        return total
+        return Fraction(self._weight(_bits(mask)), self._view[1])
+
+
+def _rational(value, what: str) -> Fraction:
+    """``value`` as a Fraction; a bool or a non-rational raises
+    :class:`InvalidGameError`."""
+    if type(value) is Fraction:  # the common cases, ahead of the slower checks
+        return value
+    if type(value) is int or (isinstance(value, numbers.Rational) and not isinstance(value, bool)):
+        return Fraction(value)
+    raise InvalidGameError(f"{what} must be a rational number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,14 +98,8 @@ class WeightedRep(_Weights):
     whose only consistent representation is all-zero weights with quota zero.
     """
 
-    weights: tuple[Fraction, ...]
-    quota: Fraction
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        object.__setattr__(self, "quota", Fraction(self.quota))
-        if any(w < 0 for w in self.weights):
-            raise InvalidGameError("weights must be nonnegative")
+        super().__post_init__()
         if self.quota < 0:
             raise InvalidGameError("quota must be nonnegative")
         if self.quota == 0 and any(self.weights):
@@ -84,7 +109,11 @@ class WeightedRep(_Weights):
         return self.weight_of_mask(x.mask)
 
     def wins_mask(self, mask: int) -> bool:
-        return self.weight_of_mask(mask) >= self.quota
+        return self._wins(_bits(mask))
+
+    def _wins(self, members: Iterable[int]) -> bool:
+        """True iff the players ``members`` reach the quota."""
+        return self._weight(members) >= self._view[0][-1]
 
 
 @dataclass(frozen=True)
@@ -92,14 +121,8 @@ class RoughRep(_Weights):
     """Weights/quota where strictly-below implies losing and strictly-above
     implies winning; coalitions exactly at the quota are unconstrained."""
 
-    weights: tuple[Fraction, ...]
-    quota: Fraction
-
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        object.__setattr__(self, "quota", Fraction(self.quota))
-        if any(w < 0 for w in self.weights):
-            raise InvalidGameError("weights must be nonnegative")
+        super().__post_init__()
         if not any(self.weights) and self.quota == 0:
             raise InvalidGameError("weights and quota cannot all be zero")
 
@@ -206,7 +229,7 @@ def _inclusion_maximal(masks: Iterable[int], n: int) -> list[int]:
     the n players turns them into the subset-minimal ones."""
     full = (1 << n) - 1
     maximal = (full ^ m for m in antichain_reduce(full ^ m for m in masks))
-    return sorted(maximal, key=lambda m: (_popcount(m), m))
+    return sorted(maximal, key=_canonical_key)
 
 
 def is_weighted(g: SimpleGame) -> WeightedRep | None:
@@ -265,9 +288,8 @@ def is_roughly_weighted(g: SimpleGame) -> RoughRep | None:
     if g.wins_mask(0):  # all-coalitions-win game needs a negative quota
         return RoughRep((Fraction(0),) * g.n, Fraction(-1))
     lose = maximal_losing_masks(g)
-    win = list(g.minwin_masks)
     system = LinearSystem(g.n)
-    for m in win:
+    for m in g.minwin_masks:
         system.add(_incidence(m, g.n), GEQ, 1)
     for y in lose:
         system.add(_incidence(y, g.n), LEQ, 1)
@@ -289,21 +311,18 @@ def verify_representation(g: SimpleGame, rep: WeightedRep | RoughRep) -> bool:
 
     Nonnegative weights make the antichain test equivalent to the full scan
     over all coalitions: winning coalitions dominate a minimal winning one,
-    losing coalitions fit under a maximal losing one.
+    losing coalitions fit under a maximal losing one.  A rough
+    representation is checked on both sides of its quota instead: at least
+    it on W_min, at most it on L_max.
     """
     if rep.n != g.n:
         raise InvalidGameError(f"representation over {rep.n} players, game over {g.n}")
-    strict = isinstance(rep, WeightedRep)
-    for m in g.minwin_masks:
-        if rep.weight_of_mask(m) < rep.quota:
-            return False
-    for y in maximal_losing_masks(g):
-        w = rep.weight_of_mask(y)
-        if strict and w >= rep.quota:
-            return False
-        if not strict and w > rep.quota:
-            return False
-    return True
+    if isinstance(rep, WeightedRep):
+        return _matches_antichains(rep._wins, g.minwin_masks, maximal_losing_masks(g))
+    q = rep._view[0][-1]
+    return all(rep._weight(_bits(m)) >= q for m in g.minwin_masks) and all(
+        rep._weight(_bits(y)) <= q for y in maximal_losing_masks(g)
+    )
 
 
 def weighted_game(rep: WeightedRep, n: int | None = None) -> SimpleGame:

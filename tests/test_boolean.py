@@ -13,6 +13,9 @@ from simplegames import (
     build_tripartite,
     dual,
     eval_formula,
+    exact_dimension,
+    make_game_from_masks,
+    verify_representation,
     formula_dual,
     formula_game,
     formula_size,
@@ -20,6 +23,7 @@ from simplegames import (
     verify_boolean_rep,
     weighted_game,
 )
+from simplegames import _exactlp
 from simplegames.boolean import FormulaSyntaxError, format_formula
 
 
@@ -188,3 +192,60 @@ def test_boolean_size_never_exceeds_intersection_size(h_disj_25):
     leaves = tuple(Leaf(p) for p in report.witness_upper.parts)
     assert verify_boolean_rep(h_disj_25, And(leaves))
     assert formula_size(And(leaves)) == report.exact
+
+
+class TestAntichainVerify:
+    """``verify_boolean_rep`` decides on the game's two antichains, so it
+    needs no truth table and answers past the table gate."""
+
+    def test_re_checks_a_dimension_witness_past_the_table_gate(self, two_halves):
+        parts = exact_dimension(two_halves).witness_upper.parts
+        f = And(tuple(map(Leaf, parts)))
+        assert len(parts) == 2 and verify_boolean_rep(two_halves, f)
+        assert not verify_boolean_rep(two_halves, And(tuple(map(Leaf, parts[1:]))))
+        assert verify_boolean_rep(dual(two_halves), formula_dual(f))
+
+    def test_equals_the_table_comparison(self):
+        rng = random.Random(74)
+        answers = set()
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            f = _random_formula(rng, n, depth=2)
+            g = formula_game(f)
+            masks = list(g.minwin_masks)
+            dropped = make_game_from_masks(n, masks[1:]) if masks else g
+            grown = make_game_from_masks(n, masks + [rng.randrange(1 << n)])
+            for h in (g, dropped, grown):
+                got = verify_boolean_rep(h, f)
+                assert got == (formula_game(f) == h)
+                answers.add(got)
+        assert answers == {True, False}
+
+    def test_closed_form_dual_leaf_is_the_dual_game(self):
+        rng = random.Random(75)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            weights = tuple(Fraction(rng.randint(0, 6), rng.choice([1, 2, 3])) for _ in range(n))
+            total = sum(weights)
+            kind = rng.randrange(3)
+            if kind == 0:
+                rep = WeightedRep((0,) * n, 0)  # quota zero: the all-win form
+            elif kind == 1:
+                rep = WeightedRep(weights, total + Fraction(rng.randint(1, 3), rng.choice([1, 2])))
+            else:
+                rep = WeightedRep(weights, Fraction(rng.randint(1, 4 * n + 2), rng.choice([1, 2, 3])))
+            d = formula_dual(Leaf(rep))
+            assert isinstance(d, Leaf)
+            assert formula_game(d) == dual(weighted_game(rep))
+
+    def test_reaches_no_lp(self, monkeypatch, h_disj_25):
+        def no_lp(self):
+            raise AssertionError("an LP ran")
+
+        monkeypatch.setattr(_exactlp.LinearSystem, "solve", no_lp)
+        f = tripartite_formula((2, 2, 2), (1, 2, 3))
+        g = build_tripartite((2, 2, 2), (1, 2, 3))
+        assert verify_boolean_rep(dual(g), formula_dual(f))
+        assert eval_formula(f, Coalition.of([0], 6))
+        assert verify_representation(h_disj_25, WeightedRep((4, 4, 1, 1, 1, 1, 1), 8)) is False
+        assert verify_representation(weighted_game(majority_leaf().rep), majority_leaf().rep)

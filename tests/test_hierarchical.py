@@ -251,6 +251,11 @@ class TestWitnessFamily:
         with pytest.raises(InvalidGameError):
             losing_witness_family(1, 3)
 
+    def test_rejects_non_integer_parameters(self):
+        for k, m in ((2, 3.0), ("2", 3), (True, 3)):
+            with pytest.raises(InvalidGameError, match="must be an integer"):
+                losing_witness_family(k, m)
+
 
 class TestTripartite:
     def test_first_disjunct_alone_wins(self):

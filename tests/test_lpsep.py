@@ -294,3 +294,45 @@ def test_rep_validation_rules():
     with pytest.raises(InvalidGameError):
         RoughRep((0, 0), 0)
     WeightedRep((0, 0), 0)  # the trivial all-win form is allowed
+
+
+@pytest.mark.parametrize("kind", [WeightedRep, RoughRep])
+@pytest.mark.parametrize(
+    "weights, quota", [((1, 1), "1"), ((True, 1), 1), ((None, 1), 1), ((1, 1), True), ((0.5, 1), 1)]
+)
+def test_rep_inputs_must_be_rationals(kind, weights, quota):
+    with pytest.raises(InvalidGameError, match="must be a rational number"):
+        kind(weights, quota)
+
+
+@pytest.mark.parametrize("kind", [WeightedRep, RoughRep])
+@pytest.mark.parametrize("count", [0, MAX_PLAYERS + 1])
+def test_rep_weight_count_is_a_player_count(kind, count):
+    with pytest.raises(InvalidGameError, match="player count"):
+        kind((1,) * count, 1)
+
+
+def test_rough_rep_weights_are_nonnegative():
+    with pytest.raises(InvalidGameError, match="nonnegative"):
+        RoughRep((-1, 2), 1)
+
+
+def test_zero_player_reps_reach_no_game():
+    from simplegames import Leaf, formula_game, intersect_games
+
+    with pytest.raises(InvalidGameError):
+        weighted_game(WeightedRep((), 1))
+    with pytest.raises(InvalidGameError):
+        formula_game(Leaf(WeightedRep((), 0)))
+    with pytest.raises(InvalidGameError):
+        intersect_games([WeightedRep((), 1)], 0)
+
+
+def test_weight_of_mask_reads_the_integer_view():
+    rep = WeightedRep((Fraction(1, 2), Fraction(2, 3), 0), Fraction(7, 6))
+    assert [rep.weight_of_mask(x) for x in range(8)] == [
+        sum((w for i, w in enumerate(rep.weights) if x >> i & 1), Fraction(0)) for x in range(8)
+    ]
+    assert [rep.wins_mask(x) for x in range(8)] == [x & 3 == 3 for x in range(8)]
+    fresh = WeightedRep(rep.weights, rep.quota)  # the view is a cache, outside repr and ==
+    assert repr(rep) == repr(fresh) and rep == fresh and hash(rep) == hash(fresh)
