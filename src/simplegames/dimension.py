@@ -9,14 +9,16 @@ cover (subsets of W_min that one part can win) on the game itself.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
 from operator import and_
 from typing import Collection, Literal, Sequence
 
-from . import desirability
-from ._exactlp import RowBlock
+from . import _exactlp, desirability
+from ._exactlp import _EXACT_SIZE_LIMIT, RowBlock, _tableau_size
 from .certificates import _swap_split
 from .core import (
     MAX_TABLE_PLAYERS,
@@ -32,7 +34,14 @@ from .core import (
 from .desirability import Model
 from .hierarchical import HierarchicalSpec, Kind
 from .lpsep import (
-    WeightedRep, _incidence_rows, _primitive, _separate, _trivial_all_win_rep, threshold_table
+    WeightedRep,
+    _incidence_rows,
+    _primitive,
+    _separate,
+    _separation_rows,
+    _separation_system,
+    _trivial_all_win_rep,
+    threshold_table,
 )
 
 
@@ -53,6 +62,16 @@ class Budget:
             value = _integer(getattr(self, name), f"budget {name}")
             if value < 0:
                 raise InvalidGameError(f"budget {name} must be nonnegative, got {value}")
+
+
+def _budget(budget: Budget | None) -> Budget:
+    """``budget``, or the default one for None; anything else raises
+    :class:`InvalidGameError`."""
+    if budget is None:
+        return Budget()
+    if not isinstance(budget, Budget):
+        raise InvalidGameError(f"budget must be a Budget or None, got {budget!r}")
+    return budget
 
 
 @dataclass(frozen=True)
@@ -177,11 +196,15 @@ class PartOracle:
     models of its two coalitions and of their intersection.  For each orbit
     pair (the two models) the oracle counts the intersection models not yet
     decided compatible; at zero every pair of the two orbits is compatible,
-    and ``_settled`` lists each orbit's partners in such pairs.  Other games
+    and ``_settled`` lists each orbit's partners in such pairs.  An LP of a
+    complete game too large for the exact route alone runs over player
+    cells instead (``_cell_lp``), checked on the full system.  Other games
     have no orbit cache, and every coalition has the empty model.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
+        if mode not in ("lose", "win"):
+            raise InvalidGameError(f"oracle mode must be 'lose' or 'win', got {mode!r}")
         self.g = g
         self.n = g.n
         self.mode = mode
@@ -199,6 +222,7 @@ class PartOracle:
         self._bias = self._tops = 0  # per field: 2**(F-1) - quota; a one at its top
         self.lp_calls = 0
         self._class_masks = self._sizes = ()  # per desirability class: its player mask; its size
+        self._cell_blocks: dict[tuple[tuple[int, ...], ...], tuple[RowBlock, dict]] = {}
         if g.n <= MAX_TABLE_PLAYERS and desirability.is_complete(g):
             partition = desirability.equivalence_classes(g)
             self._class_masks, self._sizes = partition._class_masks, partition.sizes
@@ -290,14 +314,114 @@ class PartOracle:
         return weights, quota
 
     def _lp(self, masks: frozenset[int]) -> int | None:
-        """Key of the witness the LP stores for ``masks``, or None."""
+        """Key of the witness the LP stores for ``masks``, or None.
+
+        In a complete game an LP whose tableau over the players is above
+        the float gate is tried over cells (:meth:`_cell_lp`); every other
+        LP is solved over the players."""
         self.lp_calls += 1
-        variable = _incidence_rows(sorted(masks), self.n, self.mode == "win")
-        res = _separate(self._fixed, variable)
-        if not res.feasible:
+        ordered = sorted(masks)
+        variable = _incidence_rows(ordered, self.n, self.mode == "win")
+        rows = len(self._fixed.rows) + len(variable) + 1
+        if self._pair_orbit is not None and _tableau_size(self.n + 1, rows) > _EXACT_SIZE_LIMIT:
+            found = self._cell_lp(ordered, variable)
+        else:
+            found = self._player_lp(variable)
+        if found is None:
             return None
-        *weights, quota = _primitive(res.nums[: self.n + 1])
+        *weights, quota = _primitive(found)
         return self._store(weights, quota)
+
+    def _player_lp(self, variable: list) -> list[int] | None:
+        """Weights then quota of a point of the separation system over the
+        players with the queried rows ``variable``; None if it has none."""
+        res = _separate(self._fixed, variable)
+        return res.nums[: self.n + 1] if res.feasible else None
+
+    def _cells(self, masks: list[int]) -> list[list[int]]:
+        """Per desirability class, the masks of its cells: the class split
+        by membership in each pinned coalition of ``masks``, one whose orbit
+        does not lie wholly in ``masks``."""
+        in_set = Counter(map(self._code, masks))  # model -> members in masks
+        pinned = {
+            code for code, k in in_set.items() if k < math.prod(map(math.comb, self._sizes, code))
+        }
+        cells = [[cm] for cm in self._class_masks]
+        for m in masks:
+            if self._code(m) in pinned:
+                cells = [[part for c in cls for part in (c & m, c & ~m) if part] for cls in cells]
+        return cells
+
+    def _cell_block(self, shape: tuple[tuple[int, ...], ...]) -> tuple[RowBlock, dict]:
+        """The fixed side over cells of the sizes ``shape`` (per class, its
+        cells' sizes) and the index of each row's cell counts: every model
+        of the fixed side split over its classes' cells in every way the
+        cell sizes allow, one row per split."""
+        found = self._cell_blocks.get(shape)
+        if found is None:
+            index: dict[tuple[int, ...], int] = {}
+            # the models in lexicographic order, as desirability lists them
+            for model in sorted(set(map(self._code, self._fixed_masks))):
+                for split in product(*map(_splits, model, shape)):
+                    index[sum(split, ())] = len(index)
+            width = sum(map(len, shape)) + 1
+            block = RowBlock(_separation_rows(index, self.mode == "lose"), width)
+            found = self._cell_blocks[shape] = block, index
+        return found
+
+    def _cell_lp(self, masks: list[int], variable: list) -> list[int] | None:
+        """What :meth:`_player_lp` gives for the coalitions ``masks`` (their
+        rows are ``variable``), found over cells when the cell system is
+        below the float gate.
+
+        The variables are one weight per cell (:meth:`_cells`) and the
+        quota; a row is a coalition's member count per cell, one per
+        distinct count vector of each side.  Every within-class permutation
+        that fixes each cell is a game automorphism and maps ``masks`` onto
+        itself, so averaging a point over them gives a point constant on
+        cells: both systems are feasible together.  The cell point, each
+        player given its cell's weight, must pass ``check_point`` on the
+        full system.  A cell certificate is spread evenly over the full
+        rows with each row's counts, scaled to integers by the lcm of their
+        numbers, and must pass ``check_farkas``.  A failed check raises
+        AssertionError.  A cell system that would still take the float
+        probe is not solved: the exact route runs slower on its count
+        coefficients than on the full system's 0/1 rows, so the full system
+        is solved instead."""
+        cells = self._cells(masks)
+        flat = [c for cls in cells for c in cls]
+        shape = tuple(tuple(c.bit_count() for c in cls) for cls in cells)
+        block, fixed_index = self._cell_block(shape)
+
+        def counts(m: int) -> tuple[int, ...]:
+            return tuple((m & c).bit_count() for c in flat)
+
+        groups = Counter(map(counts, masks))  # each count vector of masks, in order: members
+        rows = len(block.rows) + len(groups) + 1
+        if _tableau_size(block.width, rows) > _exactlp._EXACT_SIZE_LIMIT:  # the probe's own gate
+            return self._player_lp(variable)
+        res = _separate(block, _separation_rows(groups, self.mode == "win"))
+        full = _separation_system(self._fixed, variable)
+        u = res.nums
+        if res.feasible:
+            point = [0] * self.n + [u[len(flat)]]
+            for c, w in zip(flat, u):
+                for p in _bits(c):
+                    point[p] = w
+            if not full.check_point(point, res.den):
+                raise AssertionError("lifted cell point failed the full separation system")
+            return point
+        sizes = [c.bit_count() for c in flat]
+        members = [math.prod(map(math.comb, sizes, v)) for v in fixed_index] + list(groups.values())
+        scale = math.lcm(*members)
+        per_row = [k * (scale // size) for k, size in zip(u, members)]
+        set_index = {v: len(fixed_index) + j for j, v in enumerate(groups)}
+        lifted = [per_row[fixed_index[counts(m)]] for m in self._fixed_masks]
+        lifted += [per_row[set_index[counts(m)]] for m in masks]
+        lifted.append(u[-1] * scale)
+        if not full.check_farkas(lifted, res.den * scale):
+            raise AssertionError("lifted cell certificate failed the full separation system")
+        return None
 
     def _index(self, masks: frozenset[int]) -> int | None:
         """Key of the first stored witness handling every coalition of
@@ -365,6 +489,16 @@ class PartOracle:
         if self._index(frozenset(masks).union((mask,))) is None:
             return 0
         return self._common(masks) & self._handled(mask)
+
+
+@lru_cache(maxsize=4096)
+def _splits(count: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every way to place ``count`` members in cells of the sizes ``sizes``,
+    at most a cell's size in each, in lexicographic order."""
+    if len(sizes) == 1:
+        return ((count,),) if count <= sizes[0] else ()
+    head, tail = sizes[0], sizes[1:]
+    return tuple((k,) + rest for k in range(min(count, head) + 1) for rest in _splits(count - k, tail))
 
 
 def _graph_on(verts: list[int], oracle: PartOracle) -> list[int]:
@@ -656,11 +790,12 @@ def exact_dimension(g: SimpleGame, budget: Budget | None = None) -> DimensionRep
     by convention.  When the budget is exhausted the report carries bounds
     with ``exact=None``.
     """
+    budget = _budget(budget)
     maxlose = maximal_losing_masks(g)
     if not maxlose:
         note = "all-winning game: dimension 1 by convention"
         return _one_part_report(_trivial_all_win_rep(g.n), note)
-    return _cover_report(g, maxlose, "lose", budget or Budget())
+    return _cover_report(g, maxlose, "lose", budget)
 
 
 def conjunctive_intersection_rep(spec: HierarchicalSpec) -> IntersectionRep:
@@ -679,7 +814,7 @@ def conjunctive_intersection_rep(spec: HierarchicalSpec) -> IntersectionRep:
 
 def codimension(g: SimpleGame, budget: Budget | None = None) -> DimensionReport:
     """Minimum union size, computed as the dimension of the dual game."""
-    report = exact_dimension(dual_game(g), budget)
+    report = exact_dimension(dual_game(g), _budget(budget))
     return replace(report, notes=report.notes + ("computed on the dual game",))
 
 
@@ -691,6 +826,7 @@ def codimension_direct(g: SimpleGame, budget: Budget | None = None) -> Dimension
     with :func:`codimension` (they are the same cover problem under
     complementation); kept as a distinct route for cross-checking.
     """
+    budget = _budget(budget)
     minwin = list(g.minwin_masks)
     if not minwin:
         # all-lose game is the union of one weighted game losing everything
@@ -699,4 +835,4 @@ def codimension_direct(g: SimpleGame, budget: Budget | None = None) -> Dimension
     if minwin[0] == 0:
         note = "all-winning game: codimension 1 by convention"
         return _one_part_report(_trivial_all_win_rep(g.n), note)
-    return _cover_report(g, minwin, "win", budget or Budget())
+    return _cover_report(g, minwin, "win", budget)

@@ -206,18 +206,23 @@ def _incidence_rows(masks: Iterable[int], n: int, win: bool) -> list[_Row]:
     return _separation_rows((_incidence(m, n) for m in masks), win)
 
 
-def _separate(fixed: RowBlock, variable: list[_Row]) -> LPResult:
-    """Solve the rows of ``fixed``, then ``variable``, then ``q >= 1``.
+def _separation_system(fixed: RowBlock, variable: list[_Row]) -> LinearSystem:
+    """The rows of ``fixed``, then ``variable``, then ``q >= 1``.
 
     A row is ``w.v - q >= 0`` (win side) or ``w.v - q <= -1`` (lose side)
     for an integer vector v: 0/1 player incidences or member counts per
-    class.  ``fixed`` is the game's side, normalised once as a
-    :class:`RowBlock`; callers asking many questions of one game build it
-    once and pass only the queried rows as ``variable``.
+    class (or per cell of a class).  ``fixed`` is the game's side,
+    normalised once as a :class:`RowBlock`; callers asking many questions
+    of one game build it once and pass only the queried rows as
+    ``variable``.
     """
     q_row = ((0,) * (fixed.width - 1) + (1,), GEQ, 1)  # weights, then the quota
-    system = LinearSystem(fixed.width, fixed.rows + variable + [q_row], fixed)
-    return system.solve()
+    return LinearSystem(fixed.width, fixed.rows + variable + [q_row], fixed)
+
+
+def _separate(fixed: RowBlock, variable: list[_Row]) -> LPResult:
+    """Solve :func:`_separation_system` of ``fixed`` and ``variable``."""
+    return _separation_system(fixed, variable).solve()
 
 
 def _incidence(mask: int, n: int) -> list[int]:

@@ -30,8 +30,9 @@ from simplegames import (
     weighted_game,
 )
 from simplegames import _exactlp, desirability, dimension
+from simplegames._exactlp import LinearSystem, LPResult
 from simplegames.certificates import _swap_split
-from simplegames.core import SimpleGame, maximal_losing_masks
+from simplegames.core import SimpleGame, maximal_losing_masks, _bits
 from simplegames.dimension import PartOracle, _check_cover, _graph_on
 from simplegames.lpsep import _canonical_rep, separable, threshold_table
 
@@ -810,7 +811,7 @@ def test_lp_counts_stay_bounded(monkeypatch):
     budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
     games = {
         "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2, 18, 56),
-        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 13, 586),
+        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2, 16, 586),
         "fam32": (losing_witness_family(3, 2)[0], 3, 17, 182),
         "fam23": (losing_witness_family(2, 3)[0], 4, 112, 437),
     }
@@ -1243,7 +1244,7 @@ def _pinned_report_groups():
 # sha256 of repr(reports), then the LPs the group ran
 PINNED_REPORTS = {
     "disj25 dimension": ("819d64a833d2cd3f8539ea444826a840f296e29d72b1b7672c05e6b2ca696864", 18),
-    "conj444 dimension": ("d5e203ec3b28af552652e8d5ee251f2a54c4a75c3d4b157b73a67557bc6b948d", 13),
+    "conj444 dimension": ("0f72e644cc2a6d1c16cb1d2c05f6fc38796e247302abf0606c3b70a80d1067f1", 16),
     "fam32 dimension": ("21e65d6c4b1deec6fa2d2ace7fd104ef9059e5c8ac760aba381818f4c2f02e4b", 17),
     "fam23 dimension": ("41b4816ca635cdd092dc25a72079e3741ee8e52b78f9962bfb054769f5b0b384", 112),
     "fam42 dimension": ("540206a00ec49ec6700db47f573013e32948df53971d83237bc7d876e875543c", 22),
@@ -1259,8 +1260,9 @@ def test_whole_reports_stay_pinned(monkeypatch):
     fam(4,2) under the wide budget (codimension on disj25 and fam32 only,
     as conj444's takes a minute), and on 200 seeded random 5-7-player
     games through all three routes.  Witnesses of LPs past the float gate
-    are HiGHS points, rounded and checked, so a scipy release that moves
-    those points may move these digests without any fault here."""
+    in games that are not complete are HiGHS points, rounded and checked,
+    so a scipy release that moves those points may move these digests
+    without any fault here; none of these groups has such an LP."""
     lps = [0]
     real_separate = dimension._separate
 
@@ -1274,3 +1276,203 @@ def test_whole_reports_stay_pinned(monkeypatch):
         lps[0] = 0
         got[name] = (hashlib.sha256(repr(reports()).encode()).hexdigest(), lps[0])
     assert got == PINNED_REPORTS
+
+
+def _conj444():
+    return build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7)))
+
+
+def test_conj444_verdicts_stay():
+    """conj444's pair graph, clique and exact dimension, as computed before
+    its large LPs ran over cells: the sha256 of the adjacency bitsets, the
+    clique's coalitions and the exact value under the wide budget.  Its
+    witnesses and LP count (``PINNED_REPORTS``) moved with the route; these
+    may not."""
+    g = _conj444()
+    verts = maximal_losing_masks(g)
+    adj = _graph_on(verts, PartOracle(g))
+    assert hashlib.sha256(repr(adj).encode()).hexdigest() == (
+        "6044aa00c54f575455d39019406d0548083f27a0b0c74fd110dde874b6ad0636"
+    )
+    assert [verts[v] for v in dimension._clique(adj, 700)] == [3854, 4088]
+    report = exact_dimension(g, Budget(1500, 700, 600_000))
+    assert (report.lower, report.upper, report.exact) == (2, 2, 2)
+    assert [c.mask for c in report.witness_lower] == [3854, 4088]
+
+
+def _cover_verdicts(g, mode, budget):
+    """The pair graph of one cover direction on a fresh oracle, its clique,
+    and the bounds and value of the matching report."""
+    verts = _antichain(g, mode)
+    adj = _graph_on(verts, PartOracle(g, mode))
+    report = (exact_dimension if mode == "lose" else codimension_direct)(g, budget)
+    return adj, dimension._clique(adj, budget.clique_exact), (report.lower, report.upper, report.exact)
+
+
+def test_cell_route_changes_no_verdict(monkeypatch):
+    """Every LP of a complete game sent over cells (the oracle's gate below
+    every system), with the float pre-pass on (cell systems above its gate
+    fall back to the players) and off (none do), against every LP over the
+    players (the oracle's gate above every system): the same pair graphs,
+    cliques, bounds and values in both cover directions, on every complete
+    five-player game, conj444, fam(2,3) and fam(4,2).  Over whole classes
+    the cell rows of the game's side are its models, in the order
+    ``desirability`` lists them."""
+    five = [SimpleGame._from_table(5, t) for t in oracles.monotone_tables(5)]
+    cases = [(g, Budget(1500, 700, 600_000)) for g in five if desirability.is_complete(g)]
+    assert len(cases) == 3287
+    cases += [
+        (losing_witness_family(2, 3)[0], Budget(1500, 700, 600_000)),
+        (losing_witness_family(4, 2)[0], Budget(1500, 700, 600_000)),
+        (_conj444(), Budget(1500, 300, 600_000)),  # conj444's exact win-side clique takes a minute
+    ]
+
+    def run():
+        return [
+            _cover_verdicts(g, mode, budget)
+            for g, budget in cases
+            for mode in ("lose", "win")
+            if _antichain(g, mode) and _antichain(g, mode)[0]
+        ]
+
+    lifted = [0]
+    real_system = dimension._separation_system
+
+    def counting(*args):
+        lifted[0] += 1
+        return real_system(*args)
+
+    monkeypatch.setattr(dimension, "_separation_system", counting)
+    monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", math.inf)
+    want = run()
+    assert not lifted[0]
+    for float_gate in (_exactlp._EXACT_SIZE_LIMIT, math.inf):
+        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", float_gate)
+        monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", -1)
+        assert run() == want, float_gate
+        assert lifted[0] > 10_000, float_gate
+        lifted[0] = 0
+    for g, _ in cases[-3:]:
+        for side, mode in enumerate(("lose", "win")):
+            oracle = PartOracle(g, mode)
+            _, index = oracle._cell_block(tuple((s,) for s in oracle._sizes))
+            assert list(index) == desirability._class_antichains(g)[side]
+
+
+def _adjacent_pairs(g, count):
+    """``count`` adjacent pairs of the ``lose`` pair graph, spread over its edges."""
+    verts = maximal_losing_masks(g)
+    adj = _graph_on(verts, PartOracle(g))
+    edges = [(verts[i], verts[j]) for i in range(len(verts)) for j in _bits(adj[i]) if j > i]
+    return edges[:: max(1, len(edges) // count)][:count]
+
+
+def test_cell_route_refutes_adjacent_pairs_by_lifted_certificates(monkeypatch):
+    """With every LP over cells, ``_lp`` on adjacent pairs of fam(2,3) and
+    conj444 returns None, each after two Farkas checks that pass: the cell
+    system's own, then the lifted certificate's on the full system (the
+    oracle's own row block)."""
+    monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", -1)
+    checks = []
+    real_check = LinearSystem.check_farkas
+
+    def recording(self, *args):
+        ok = real_check(self, *args)
+        checks.append((self.block, ok))
+        return ok
+
+    monkeypatch.setattr(LinearSystem, "check_farkas", recording)
+    for g in (losing_witness_family(2, 3)[0], _conj444()):
+        pairs = _adjacent_pairs(g, 50)
+        assert len(pairs) == 50
+        oracle = PartOracle(g)
+        for a, b in pairs:
+            checks.clear()
+            assert oracle._lp(frozenset((a, b))) is None
+            assert [(block is oracle._fixed, ok) for block, ok in checks] == [(False, True), (True, True)]
+        assert not oracle._witnesses
+
+
+def test_cell_systems_past_the_probe_gate_fall_back(monkeypatch):
+    """A cell system that would still take the float probe is not solved;
+    its LP runs over the players instead.  With the probe's gate lowered
+    into the range of conj444's cell systems, some LPs fall back and some
+    do not, and the pair graph and report keep their verdicts."""
+    routes = []
+    real_player_lp, real_system = PartOracle._player_lp, dimension._separation_system
+
+    def player_lp(self, variable):
+        routes.append("players")
+        return real_player_lp(self, variable)
+
+    def system(*args):
+        routes.append("cells")
+        return real_system(*args)
+
+    monkeypatch.setattr(PartOracle, "_player_lp", player_lp)
+    monkeypatch.setattr(dimension, "_separation_system", system)
+    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", 700)
+    g = _conj444()
+    verts = maximal_losing_masks(g)
+    adj = _graph_on(verts, PartOracle(g))
+    assert hashlib.sha256(repr(adj).encode()).hexdigest() == (
+        "6044aa00c54f575455d39019406d0548083f27a0b0c74fd110dde874b6ad0636"
+    )
+    report = exact_dimension(g, Budget(1500, 700, 600_000))
+    assert (report.lower, report.upper, report.exact) == (2, 2, 2)
+    assert set(routes) == {"players", "cells"}
+
+
+def test_cell_route_checks_are_live(monkeypatch):
+    """A cell LP's spoiled point (its quota above every weight sum) and a
+    spoiled certificate (all multipliers zero) each fail the check on the
+    full system and raise AssertionError."""
+    g = _conj444()
+    (a, b), = _adjacent_pairs(g, 1)
+    compatible = maximal_losing_masks(g)[:1]
+    real_separate = dimension._separate
+
+    def spoiled(fixed, variable):
+        res = real_separate(fixed, variable)
+        if res.feasible:
+            return LPResult(True, res.nums[:-1] + [(sum(res.nums) + 1) * g.n], res.den)
+        return LPResult(False, [0] * len(res.nums), res.den)
+
+    monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", -1)
+    oracle = PartOracle(g)
+    assert oracle._lp(frozenset(compatible)) is not None
+    assert oracle._lp(frozenset((a, b))) is None
+    monkeypatch.setattr(dimension, "_separate", spoiled)
+    for masks in (compatible, (a, b)):
+        with pytest.raises(AssertionError, match="lifted cell"):
+            oracle._lp(frozenset(masks))
+
+
+def test_conj444_needs_no_float_probe(monkeypatch):
+    """conj444's ``exact_dimension`` runs every LP on the exact route: its
+    large LPs run over cells, which stay below the float gate."""
+
+    def no_probe(self, leq):
+        raise AssertionError("float probe called")
+
+    monkeypatch.setattr(LinearSystem, "_solve_float", no_probe)
+    assert exact_dimension(_conj444(), Budget(1500, 700, 600_000)).exact == 2
+
+
+@pytest.mark.parametrize("budget", [5, {"max_lmax": 3}, (30, 200, 300_000)])
+def test_budget_must_be_a_budget(budget, majority5):
+    """The cover routes take a :class:`Budget` or None; anything else raises
+    :class:`InvalidGameError` before any work."""
+    for route in (exact_dimension, codimension, codimension_direct):
+        with pytest.raises(InvalidGameError, match="Budget"):
+            route(majority5, budget)
+    all_win = make_game_from_masks(3, [0])
+    with pytest.raises(InvalidGameError, match="Budget"):
+        exact_dimension(all_win, 5)
+
+
+@pytest.mark.parametrize("mode", ["banana", "LOSE", None, 0])
+def test_oracle_mode_is_checked(mode, majority5):
+    """A part oracle answers in ``lose`` or ``win`` mode only."""
+    with pytest.raises(InvalidGameError, match="mode"):
+        PartOracle(majority5, mode)
