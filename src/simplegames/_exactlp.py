@@ -1,15 +1,11 @@
 """Exact rational feasibility for linear systems over nonnegative variables.
 
-Verdicts are never taken from floating point.  The exact route is a phase-1
-simplex on integer rows, run on the system's Farkas alternative: that system
-has one row per column, so the tall, thin separation systems pivot a short
-tableau, and either outcome yields a feasible point or a Farkas certificate
-of the original system.  Systems whose tableau is below a size threshold
-take the exact route directly.  Larger ones are probed with scipy's HiGHS
-solver first, and only for a feasible point: HiGHS's point is rounded once
-and kept only if it satisfies every row in exact arithmetic.  Every other
-outcome, an infeasible probe included, goes to the exact route, whose
-answers are checked the same way.
+Every system takes one route: a phase-1 simplex on integer rows, run on the
+system's Farkas alternative.  That system has one row per column, so the
+tall, thin separation systems pivot a short tableau, and either outcome
+yields a feasible point or a Farkas certificate of the original system,
+which :meth:`LinearSystem.check_point` or
+:meth:`LinearSystem.check_farkas` must accept before it is returned.
 
 Results stay in integers: a point or a certificate is a list of integer
 numerators over one positive denominator, and both checks read that form.
@@ -24,8 +20,9 @@ componentwise and ``u^T b < 0``: for any ``x >= 0`` it forces
 ``0 <= (u^T A) x = u^T(Ax) <= u^T b < 0``.
 
 Systems that share their leading rows (one game asked many separation
-questions) share them as a :class:`RowBlock`, normalised once; each solve
-then normalises, and transposes for the alternative, only the rows after it.
+questions) share them as a :class:`RowBlock`, normalised and transposed
+once; each solve then normalises, and transposes for the alternative, only
+the rows after it.
 """
 
 from __future__ import annotations
@@ -37,9 +34,10 @@ from fractions import Fraction
 from operator import mul as _mul
 from typing import Sequence
 
-LEQ, EQ, GEQ = -1, 0, 1
+LEQ, EQ, GEQ = -1, 0, 1  # perfbench/spans.py also reads EQ (ROADMAP item 6)
 
-_EXACT_SIZE_LIMIT = 6_000  # exact tableau cells below this: skip the float pass
+# dimension's cell gate, in _tableau_size cells; perfbench/spans.py also reads it (ROADMAP item 6)
+_EXACT_SIZE_LIMIT = 6_000
 
 _Row = tuple[Sequence[int], int, int]  # coefficients, sense (LEQ or GEQ), rhs
 _IntRow = tuple[Sequence[int], int]  # a <= row: coefficients, rhs
@@ -56,12 +54,6 @@ def _normalise(rows: Sequence[_Row]) -> list[_IntRow]:
         else:
             raise ValueError(f"bad sense {sense}")
     return out
-
-
-def _dense(np, leq: Sequence[_IntRow], width: int):
-    """Float matrix and right-hand side of integer <= rows over ``width`` columns."""
-    a_mat = np.array([a for a, _ in leq], dtype=float)
-    return a_mat.reshape(len(leq), width), np.array([b for _, b in leq], dtype=float)
 
 
 def _transpose(leq: Sequence[_IntRow], width: int) -> tuple[list[list[int]], list[int]]:
@@ -83,12 +75,12 @@ class LPResult:
     positive denominator ``den``: the point when feasible, else one ``>= 0``
     multiplier per row.  ``x`` and ``farkas`` are the same witness in
     Fractions, built when first read; two results are equal when their
-    verdict, their witness and their path are."""
+    verdict and their witness are."""
 
     feasible: bool
     nums: Sequence[int]
     den: int = 1
-    exact_path: bool = True
+    exact_path = True  # every result is exact; perfbench/spans.py reads it (ROADMAP item 6)
 
     def _fractions(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.nums)
@@ -102,7 +94,7 @@ class LPResult:
         return None if self.feasible else self._fractions()
 
     def _key(self):
-        return self.feasible, self._fractions(), self.exact_path
+        return self.feasible, self._fractions()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LPResult) and self._key() == other._key()
@@ -112,23 +104,15 @@ class RowBlock:
     """Leading integer rows shared by many systems, normalised to ``<=``
     form once; a row's sense is ``LEQ`` or ``GEQ``.
 
-    ``width`` is the column count of the systems sharing the rows.  The
-    dense float copy of the rows and their transposed view for the exact
-    route's alternative are each made on the first solve that needs them,
-    so a solve never pays for the other route's copy.
+    ``width`` is the column count of the systems sharing the rows.  Their
+    transposed view for the alternative is made on the first solve.
     """
 
     def __init__(self, rows: list[_Row], width: int):
         self.rows = rows
         self.width = width
         self.leq = _normalise(rows)
-        self._dense = None
         self._alt = None
-
-    def dense(self, np):
-        if self._dense is None:
-            self._dense = _dense(np, self.leq, self.width)
-        return self._dense
 
     def alternative(self) -> tuple[list[list[int]], list[int]]:
         """:func:`_transpose` of the rows."""
@@ -221,39 +205,13 @@ class LinearSystem:
     # -- solving -------------------------------------------------------------
 
     def solve(self) -> LPResult:
-        leq = self._leq_rows()
-        if _tableau_size(self.num_vars, len(leq)) > _EXACT_SIZE_LIMIT:
-            res = self._solve_float(leq)
-            if res is not None:
-                return res
-        feasible, nums, den = _solve_alternative(self._alternative(leq))
+        feasible, nums, den = _solve_alternative(self._alternative(self._leq_rows()))
         if feasible:
             if not self.check_point(nums, den):
                 raise AssertionError("exact simplex returned a bad point")
         elif not self.check_farkas(nums, den):
             raise AssertionError("exact simplex returned a bad certificate")
         return LPResult(feasible, nums, den)
-
-    def _solve_float(self, leq) -> LPResult | None:
-        """A HiGHS point rounded to denominators of at most 10**4, if it
-        passes :meth:`check_point`; None for any other outcome, which the
-        exact route then decides."""
-        try:
-            import numpy as np
-            from scipy.optimize import linprog
-        except ImportError:  # pragma: no cover
-            return None
-        a_head, b_head = self.block.dense(np)
-        a_tail, b_tail = _dense(np, leq[len(self.block.leq):], self.num_vars)
-        a_mat, b_vec = np.vstack((a_head, a_tail)), np.concatenate((b_head, b_tail))
-        probe = linprog(
-            np.zeros(self.num_vars), A_ub=a_mat, b_ub=b_vec,
-            bounds=(0, None), method="highs",
-        )
-        if probe.status != 0:
-            return None
-        nums, den = _over_one_den([Fraction(v).limit_denominator(10**4) for v in probe.x])
-        return LPResult(True, nums, den, exact_path=False) if self.check_point(nums, den) else None
 
 
 # -- exact phase-1 simplex ----------------------------------------------------

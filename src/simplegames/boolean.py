@@ -31,15 +31,31 @@ from .lpsep import WeightedRep, _canonical_rep, _trivial_all_win_rep, threshold_
 class Leaf:
     rep: WeightedRep
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.rep, WeightedRep):
+            raise InvalidGameError(f"a leaf takes a WeightedRep, got {type(self.rep).__name__}")
+
+
+def _children(name: str, children) -> tuple:
+    """A connective's children as a tuple: one or more, each a formula."""
+    try:
+        children = tuple(children)
+    except TypeError:
+        raise InvalidGameError(f"{name} takes a sequence of formulas") from None
+    if not children:
+        raise InvalidGameError(f"{name} needs at least one child")
+    for child in children:
+        if not isinstance(child, (Leaf, And, Or)):
+            raise InvalidGameError(f"{name} takes formulas, got {type(child).__name__}")
+    return children
+
 
 @dataclass(frozen=True)
 class And:
     children: tuple["BoolFormula", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise InvalidGameError("AND needs at least one child")
+        object.__setattr__(self, "children", _children("AND", self.children))
 
 
 @dataclass(frozen=True)
@@ -47,9 +63,7 @@ class Or:
     children: tuple["BoolFormula", ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        if not self.children:
-            raise InvalidGameError("OR needs at least one child")
+        object.__setattr__(self, "children", _children("OR", self.children))
 
 
 BoolFormula = Leaf | And | Or

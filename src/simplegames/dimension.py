@@ -196,10 +196,10 @@ class PartOracle:
     models of its two coalitions and of their intersection.  For each orbit
     pair (the two models) the oracle counts the intersection models not yet
     decided compatible; at zero every pair of the two orbits is compatible,
-    and ``_settled`` lists each orbit's partners in such pairs.  An LP of a
-    complete game too large for the exact route alone runs over player
-    cells instead (``_cell_lp``), checked on the full system.  Other games
-    have no orbit cache, and every coalition has the empty model.
+    and ``_settled`` lists each orbit's partners in such pairs.  A large LP
+    of a complete game runs over player cells instead (``_cell_lp``) when
+    that makes it small, checked on the full system.  Other games have no
+    orbit cache, and every coalition has the empty model.
     """
 
     def __init__(self, g: SimpleGame, mode: Literal["lose", "win"] = "lose"):
@@ -317,8 +317,8 @@ class PartOracle:
         """Key of the witness the LP stores for ``masks``, or None.
 
         In a complete game an LP whose tableau over the players is above
-        the float gate is tried over cells (:meth:`_cell_lp`); every other
-        LP is solved over the players."""
+        ``_EXACT_SIZE_LIMIT`` is tried over cells (:meth:`_cell_lp`); every
+        other LP is solved over the players."""
         self.lp_calls += 1
         ordered = sorted(masks)
         variable = _incidence_rows(ordered, self.n, self.mode == "win")
@@ -371,8 +371,8 @@ class PartOracle:
 
     def _cell_lp(self, masks: list[int], variable: list) -> list[int] | None:
         """What :meth:`_player_lp` gives for the coalitions ``masks`` (their
-        rows are ``variable``), found over cells when the cell system is
-        below the float gate.
+        rows are ``variable``), found over cells when the cell system's
+        tableau is at most ``_EXACT_SIZE_LIMIT``.
 
         The variables are one weight per cell (:meth:`_cells`) and the
         quota; a row is a coalition's member count per cell, one per
@@ -384,10 +384,10 @@ class PartOracle:
         full system.  A cell certificate is spread evenly over the full
         rows with each row's counts, scaled to integers by the lcm of their
         numbers, and must pass ``check_farkas``.  A failed check raises
-        AssertionError.  A cell system that would still take the float
-        probe is not solved: the exact route runs slower on its count
-        coefficients than on the full system's 0/1 rows, so the full system
-        is solved instead."""
+        AssertionError.  A larger cell system is not solved: its cells are
+        then nearly single players, and the exact simplex pivots its member
+        count rows slower than the full system's 0/1 rows, so the full
+        system is solved instead."""
         cells = self._cells(masks)
         flat = [c for cls in cells for c in cls]
         shape = tuple(tuple(c.bit_count() for c in cls) for cls in cells)
@@ -398,7 +398,7 @@ class PartOracle:
 
         groups = Counter(map(counts, masks))  # each count vector of masks, in order: members
         rows = len(block.rows) + len(groups) + 1
-        if _tableau_size(block.width, rows) > _exactlp._EXACT_SIZE_LIMIT:  # the probe's own gate
+        if _tableau_size(block.width, rows) > _exactlp._EXACT_SIZE_LIMIT:
             return self._player_lp(variable)
         res = _separate(block, _separation_rows(groups, self.mode == "win"))
         full = _separation_system(self._fixed, variable)

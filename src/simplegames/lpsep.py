@@ -13,8 +13,8 @@ search, the class-weight route of ``is_weighted`` (coefficients are member
 counts per desirability class instead of 0/1 incidences) and the dimension
 oracle, which normalises the game's own side of the system once.
 
-All verdicts are exact: the LP layer only accepts float results whose
-witnesses survive exact rational verification (see ``_exactlp``).
+All verdicts are exact: every system is solved in integer arithmetic and
+its point or certificate checked against every row (see ``_exactlp``).
 """
 
 from __future__ import annotations

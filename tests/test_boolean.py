@@ -25,6 +25,7 @@ from simplegames import (
 )
 from simplegames import _exactlp
 from simplegames.boolean import FormulaSyntaxError, format_formula
+from simplegames.lpsep import RoughRep
 
 
 def majority_leaf():
@@ -44,6 +45,39 @@ def cumulative_leaves(n, k):
 def tripartite_formula(n, k):
     g1, g2, g3 = cumulative_leaves(n, k)
     return Or((g1, And((g2, g3))))
+
+
+class TestConstruction:
+    """A leaf takes only a :class:`WeightedRep` and a connective only
+    formulas; anything else raises :class:`InvalidGameError` when built, not
+    later in evaluation or verification."""
+
+    def test_leaf_rejects_a_rough_representation(self):
+        with pytest.raises(InvalidGameError, match="WeightedRep"):
+            Leaf(RoughRep((1, 1, 1), 2))
+
+    @pytest.mark.parametrize("rep", [(1, 1, 1), None, 3], ids=["tuple", "none", "int"])
+    def test_leaf_rejects_other_objects(self, rep):
+        with pytest.raises(InvalidGameError, match="WeightedRep"):
+            Leaf(rep)
+
+    @pytest.mark.parametrize("connective", [And, Or])
+    @pytest.mark.parametrize("children", [
+        (majority_leaf(), 5),
+        [majority_leaf(), "AND"],
+        (WeightedRep((1, 1, 1, 1, 1), 3),),
+        majority_leaf(),
+        (),
+    ], ids=["int", "str", "bare rep", "not a sequence", "empty"])
+    def test_connectives_reject_non_formulas(self, connective, children):
+        with pytest.raises(InvalidGameError):
+            connective(children)
+
+    def test_connectives_take_nested_formulas_as_tuples(self):
+        leaf = majority_leaf()
+        f = And([leaf, Or([leaf])])
+        assert f.children == (leaf, Or((leaf,)))
+        assert verify_boolean_rep(weighted_game(leaf.rep), f)
 
 
 class TestEval:

@@ -1069,25 +1069,19 @@ def test_search_on_a_fresh_oracle():
                     _check_cover(tuple(rep for _, rep in found), verts, oracle._fixed_masks, mode)
 
 
-def test_float_pass_changes_no_dimension(monkeypatch):
-    """``exact_dimension`` on the benchmark's hard games with the float
-    pre-pass on and off: the same bounds and value, and each witness
-    intersects back to the game."""
+def test_hard_games_witnesses_intersect_to_the_game():
+    """``exact_dimension`` on the benchmark's hard games: the known value as
+    both bounds, and the witness parts intersect back to the game."""
     budget = Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000)
     games = {
-        "disj25": build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))),
-        "conj444": build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))),
-        "fam32": losing_witness_family(3, 2)[0],
+        "disj25": (build(HierarchicalSpec(Kind.DISJUNCTIVE, (2, 5), (2, 5))), 2),
+        "conj444": (build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7))), 2),
+        "fam32": (losing_witness_family(3, 2)[0], 3),
     }
-    with_float = {name: exact_dimension(g, budget) for name, g in games.items()}
-    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", float("inf"))  # above every system
-    for name, g in games.items():
-        exact_only = exact_dimension(g, budget)
-        for report in (with_float[name], exact_only):
-            assert intersect_games(report.witness_upper.parts, g.n) == g, name
-        before = with_float[name]
-        assert (exact_only.lower, exact_only.upper, exact_only.exact) == (
-            before.lower, before.upper, before.exact), name
+    for name, (g, dim) in games.items():
+        report = exact_dimension(g, budget)
+        assert (report.lower, report.upper, report.exact) == (dim, dim, dim), name
+        assert intersect_games(report.witness_upper.parts, g.n) == g, name
 
 
 def _handles_exactly(weights, quota, mask, mode) -> bool:
@@ -1175,8 +1169,7 @@ def test_packed_fields_agree_with_direct_sums(monkeypatch):
     ``codimension_direct`` (win mode) runs: on the benchmark's hard games
     (conj444 without its minute-long ``codimension_direct``), fam(2,3), an
     all-losing game, whose closed form has quota 1 above its weight sum 0,
-    and seeded random 5-7-player games; once as the LPs run and once with
-    every LP on the exact route, whose numerators run larger."""
+    and seeded random 5-7-player games."""
     made = []
     real_init = PartOracle.__init__
 
@@ -1192,22 +1185,20 @@ def test_packed_fields_agree_with_direct_sums(monkeypatch):
         games[f"random{i}"] = SimpleGame._from_table(n, oracles.random_two_weighted_table(rng, n, 4))
     budget = Budget(1500, 700, 600_000)
     seen = {"lose": 0, "win": 0, "quota above sum": 0, "sum a power of two": 0}
-    for limit in (_exactlp._EXACT_SIZE_LIMIT, math.inf):
-        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", limit)
-        for name, g in games.items():
-            made.clear()
-            exact_dimension(g, budget)
-            if name != "conj444":
-                codimension_direct(g, budget)
-            coalitions = _antichain(g, "lose") + _antichain(g, "win")
-            for oracle in made:
-                handled = [oracle._handled(m) for m in coalitions]
-                for top, (weights, quota) in oracle._witnesses.items():
-                    want = [_handles_exactly(weights, quota, m, oracle.mode) for m in coalitions]
-                    assert [bool(h >> top & 1) for h in handled] == want, (name, oracle.mode, top)
-                    seen[oracle.mode] += 1
-                    seen["quota above sum"] += quota > sum(weights)
-                    seen["sum a power of two"] += sum(weights).bit_count() == 1
+    for name, g in games.items():
+        made.clear()
+        exact_dimension(g, budget)
+        if name != "conj444":
+            codimension_direct(g, budget)
+        coalitions = _antichain(g, "lose") + _antichain(g, "win")
+        for oracle in made:
+            handled = [oracle._handled(m) for m in coalitions]
+            for top, (weights, quota) in oracle._witnesses.items():
+                want = [_handles_exactly(weights, quota, m, oracle.mode) for m in coalitions]
+                assert [bool(h >> top & 1) for h in handled] == want, (name, oracle.mode, top)
+                seen[oracle.mode] += 1
+                seen["quota above sum"] += quota > sum(weights)
+                seen["sum a power of two"] += sum(weights).bit_count() == 1
     assert all(seen.values()), seen
 
 
@@ -1259,10 +1250,7 @@ def test_whole_reports_stay_pinned(monkeypatch):
     them stay as pinned: on the benchmark's hard games, fam(2,3) and
     fam(4,2) under the wide budget (codimension on disj25 and fam32 only,
     as conj444's takes a minute), and on 200 seeded random 5-7-player
-    games through all three routes.  Witnesses of LPs past the float gate
-    in games that are not complete are HiGHS points, rounded and checked,
-    so a scipy release that moves those points may move these digests
-    without any fault here; none of these groups has such an LP."""
+    games through all three routes."""
     lps = [0]
     real_separate = dimension._separate
 
@@ -1311,13 +1299,12 @@ def _cover_verdicts(g, mode, budget):
 
 def test_cell_route_changes_no_verdict(monkeypatch):
     """Every LP of a complete game sent over cells (the oracle's gate below
-    every system), with the float pre-pass on (cell systems above its gate
-    fall back to the players) and off (none do), against every LP over the
-    players (the oracle's gate above every system): the same pair graphs,
-    cliques, bounds and values in both cover directions, on every complete
-    five-player game, conj444, fam(2,3) and fam(4,2).  Over whole classes
-    the cell rows of the game's side are its models, in the order
-    ``desirability`` lists them."""
+    every system, and no cell system falling back to the players for its
+    size), against every LP over the players (the oracle's gate above every
+    system): the same pair graphs, cliques, bounds and values in both cover
+    directions, on every complete five-player game, conj444, fam(2,3) and
+    fam(4,2).  Over whole classes the cell rows of the game's side are its
+    models, in the order ``desirability`` lists them."""
     five = [SimpleGame._from_table(5, t) for t in oracles.monotone_tables(5)]
     cases = [(g, Budget(1500, 700, 600_000)) for g in five if desirability.is_complete(g)]
     assert len(cases) == 3287
@@ -1346,12 +1333,10 @@ def test_cell_route_changes_no_verdict(monkeypatch):
     monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", math.inf)
     want = run()
     assert not lifted[0]
-    for float_gate in (_exactlp._EXACT_SIZE_LIMIT, math.inf):
-        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", float_gate)
-        monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", -1)
-        assert run() == want, float_gate
-        assert lifted[0] > 10_000, float_gate
-        lifted[0] = 0
+    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", math.inf)
+    monkeypatch.setattr(dimension, "_EXACT_SIZE_LIMIT", -1)
+    assert run() == want
+    assert lifted[0] > 10_000
     for g, _ in cases[-3:]:
         for side, mode in enumerate(("lose", "win")):
             oracle = PartOracle(g, mode)
@@ -1394,10 +1379,10 @@ def test_cell_route_refutes_adjacent_pairs_by_lifted_certificates(monkeypatch):
 
 
 def test_cell_systems_past_the_probe_gate_fall_back(monkeypatch):
-    """A cell system that would still take the float probe is not solved;
-    its LP runs over the players instead.  With the probe's gate lowered
-    into the range of conj444's cell systems, some LPs fall back and some
-    do not, and the pair graph and report keep their verdicts."""
+    """A cell system whose tableau is above ``_exactlp._EXACT_SIZE_LIMIT``
+    is not solved; its LP runs over the players instead.  With that gate
+    lowered into the range of conj444's cell systems, some LPs fall back and
+    some do not, and the pair graph and report keep their verdicts."""
     routes = []
     real_player_lp, real_system = PartOracle._player_lp, dimension._separation_system
 
@@ -1448,15 +1433,20 @@ def test_cell_route_checks_are_live(monkeypatch):
             oracle._lp(frozenset(masks))
 
 
-def test_conj444_needs_no_float_probe(monkeypatch):
-    """conj444's ``exact_dimension`` runs every LP on the exact route: its
-    large LPs run over cells, which stay below the float gate."""
+def test_conj444_large_lps_all_run_over_cells(monkeypatch):
+    """conj444's ``exact_dimension`` solves no LP above the gate: each LP
+    whose tableau over the players is above ``_EXACT_SIZE_LIMIT`` runs over
+    cells, and no cell system is above it and falls back."""
+    sizes = []
+    real_solve = LinearSystem.solve
 
-    def no_probe(self, leq):
-        raise AssertionError("float probe called")
+    def recording(self):
+        sizes.append(_exactlp._tableau_size(self.num_vars, len(self.rows)))
+        return real_solve(self)
 
-    monkeypatch.setattr(LinearSystem, "_solve_float", no_probe)
+    monkeypatch.setattr(LinearSystem, "solve", recording)
     assert exact_dimension(_conj444(), Budget(1500, 700, 600_000)).exact == 2
+    assert len(sizes) == 16 and max(sizes) <= _exactlp._EXACT_SIZE_LIMIT
 
 
 @pytest.mark.parametrize("budget", [5, {"max_lmax": 3}, (30, 200, 300_000)])

@@ -1,7 +1,7 @@
-"""Exact LP layer: the float pre-pass against the exact route, the exact
-route (the simplex on the Farkas alternative) against the simplex on the
-original rows, the integer read-out of the simplex against a Fraction
-read-out of the same tableau, and the Farkas certificate check."""
+"""Exact LP layer: the library's one route (the simplex on the Farkas
+alternative) against the simplex on the original rows, the integer
+read-out of the simplex against a Fraction read-out of the same tableau,
+the Farkas certificate check, and the library without numpy or scipy."""
 
 import math
 import random
@@ -14,10 +14,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from simplegames import _exactlp, lpsep
+from simplegames import lpsep
 from simplegames._exactlp import (
     EQ, GEQ, LEQ, LinearSystem, RowBlock, _phase1_tableau, _simplex_phase1, _solve_alternative,
-    _tableau_size, _transpose,
+    _transpose,
 )
 from simplegames.core import SimpleGame, maximal_losing_masks
 from simplegames.lpsep import _incidence_rows, _separate
@@ -76,17 +76,10 @@ def _fractions(nums, den):
     return [Fraction(v, den) for v in nums]
 
 
-# The fixture's systems are tall, so the exact route's tableau is small:
-# 850 cells or more.  The fixture lowers the gate below that to keep every
-# one of them on the float pass.
-_FLOAT_PASS_LIMIT = 800
-
-
 def _random_separation_inputs(rng: random.Random, count: int):
-    """Separation systems of random games on 8-10 players, each with
-    rows * (columns + rows) above ``_EXACT_SIZE_LIMIT``: the union or
-    intersection of two random weighted games, its minimal winning
-    coalitions against a random subset of L_max."""
+    """Tall separation systems of random games on 8-10 players, more than
+    six rows per column: the union or intersection of two random weighted
+    games, its minimal winning coalitions against a random subset of L_max."""
     out = []
     while len(out) < count:
         n = rng.randint(8, 10)
@@ -96,15 +89,15 @@ def _random_separation_inputs(rng: random.Random, count: int):
             continue
         sub = rng.sample(lose, rng.randint(1, len(lose)))
         fixed, variable = _incidence_rows(win, n, True), _incidence_rows(sub, n, False)
-        rows = len(fixed) + len(variable) + 1
-        if rows * (n + 1 + rows) > _exactlp._EXACT_SIZE_LIMIT:
+        if len(fixed) + len(variable) + 1 > 6 * (n + 1):
             out.append((n, fixed, variable))
     return out
 
 
 @pytest.fixture(scope="module")
 def separation_runs():
-    """(system, float-path result, exact-route result) per random system."""
+    """(system, result) per random system, the game's side shared as a
+    :class:`RowBlock` the way the library's callers share it."""
     systems = []
 
     class Recording(LinearSystem):
@@ -113,95 +106,64 @@ def separation_runs():
             return super().solve()
 
     runs = []
-    inputs = _random_separation_inputs(random.Random(71), 24)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lpsep, "LinearSystem", Recording)
-        mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
-        for n, fixed, variable in inputs:
+        for n, fixed, variable in _random_separation_inputs(random.Random(71), 24):
             res = _separate(RowBlock(fixed, n + 1), variable)
             runs.append((systems[-1], res))
-        # no tableau is above an infinite limit: every solve takes the exact route
-        mp.setattr(_exactlp, "_EXACT_SIZE_LIMIT", math.inf)
-        return [(system, res, system.solve()) for system, res in runs]
+    return runs
 
 
 class TestFloatAgainstExact:
-    def test_systems_take_the_float_pass(self, separation_runs):
-        for system, _, _ in separation_runs:
-            assert _tableau_size(system.num_vars, len(system._leq_rows())) > _FLOAT_PASS_LIMIT
-        kinds = {(res.feasible, res.exact_path) for _, res, _ in separation_runs}
-        # both verdicts occur: feasible ones decided on the float path,
-        # infeasible ones by the exact route after the probe
-        assert {(True, False), (False, True)} <= kinds
+    """Tall random separation systems, where the Farkas alternative pivots a
+    tableau much shorter than the original rows'."""
 
     def test_verdicts_agree(self, separation_runs):
-        for _, res, exact in separation_runs:
-            assert exact.exact_path
-            assert res.feasible == exact.feasible
+        # against the simplex on the original rows; both verdicts occur
+        verdicts = set()
+        for system, res in separation_runs:
+            feasible, nums, den = _simplex_phase1(system.num_vars, system._leq_rows())
+            assert res.feasible == feasible
+            assert system.check_point(nums, den) if feasible else system.check_farkas(nums, den)
+            verdicts.add(feasible)
+        assert verdicts == {True, False}
 
-    def test_shared_block_changes_no_result(self, separation_runs, monkeypatch):
+    def test_shared_block_changes_no_result(self, separation_runs):
         # the game's side is normalised once as a RowBlock; the same system
-        # normalised whole takes the same float path to the same answer
-        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
-        for system, _, _ in separation_runs:
+        # normalised whole gives the same answer
+        for system, res in separation_runs:
             assert system.rows[: len(system.block.rows)] == system.block.rows
             whole = LinearSystem(system.num_vars, list(system.rows))
             assert whole._leq_rows() == system._leq_rows()
-            res = whole.solve()
-            if res.feasible:
-                assert not res.exact_path
-            assert res == system.solve()
-
-    def test_infeasible_probe_goes_exact(self, separation_runs, monkeypatch):
-        # one HiGHS call, then the exact route's certificate
-        import scipy.optimize
-
-        calls = []
-        real_linprog = scipy.optimize.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", counting)
-        monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", _FLOAT_PASS_LIMIT)
-        infeasible = [(system, exact) for system, _, exact in separation_runs if not exact.feasible]
-        assert infeasible
-        for system, exact in infeasible:
-            calls.clear()
-            res = system.solve()
-            assert len(calls) == 1
-            assert res.exact_path and res == exact
+            assert whole.solve() == res
 
     def test_exact_result_matches_fraction_readout(self, separation_runs):
-        for system, _, exact in separation_runs:
+        for system, res in separation_runs:
             feasible, ref = _fraction_alternative(system.num_vars, system._leq_rows())
-            assert exact.feasible == feasible
-            assert list(exact.x if feasible else exact.farkas) == ref
+            assert res.feasible == feasible
+            assert list(res.x if feasible else res.farkas) == ref
 
     def test_points_and_certificates_verify(self, separation_runs):
-        for system, *results in separation_runs:
-            for res in results:
-                if res.feasible:
-                    assert res.farkas is None and system.check_point(res.x)
-                else:
-                    assert res.x is None and system.check_farkas(res.farkas)
+        for system, res in separation_runs:
+            if res.feasible:
+                assert res.farkas is None and system.check_point(res.x)
+            else:
+                assert res.x is None and system.check_farkas(res.farkas)
 
     def test_integer_check_matches_reference_on_perturbed_certificates(self, separation_runs):
         rng = random.Random(72)
         checked = 0
-        for system, *results in separation_runs:
-            for res in results:
-                if res.feasible:
-                    continue
-                u = list(res.farkas)
-                assert _farkas_reference(system, u)
-                for _ in range(6):
-                    v = u[:]
-                    k = rng.randrange(len(v))
-                    v[k] += Fraction(rng.randint(-3, 3), rng.randint(1, 5))
-                    assert system.check_farkas(v) == _farkas_reference(system, v)
-                    checked += 1
+        for system, res in separation_runs:
+            if res.feasible:
+                continue
+            u = list(res.farkas)
+            assert _farkas_reference(system, u)
+            for _ in range(6):
+                v = u[:]
+                k = rng.randrange(len(v))
+                v[k] += Fraction(rng.randint(-3, 3), rng.randint(1, 5))
+                assert system.check_farkas(v) == _farkas_reference(system, v)
+                checked += 1
         assert checked > 0
 
 
@@ -214,16 +176,6 @@ def _fractional_system() -> LinearSystem:
     system.add([1, 1], GEQ, 1)
     system.add([5, -5], EQ, 1)
     return system
-
-
-def test_float_point_failing_its_rounding_goes_exact(monkeypatch):
-    # HiGHS's point for 10007 x = 1 rounds, at denominators up to 10**4,
-    # to no solution; the exact route then gives x = 1/10007
-    monkeypatch.setattr(_exactlp, "_EXACT_SIZE_LIMIT", 0)
-    system = LinearSystem(1)
-    system.add([10007], EQ, 1)
-    res = system.solve()
-    assert res.exact_path and res.x == (Fraction(1, 10007),)
 
 
 def test_row_block_normalises_like_the_whole_system():
@@ -437,9 +389,11 @@ def _run_isolated(code: str) -> str:
 
 
 def test_library_runs_with_numpy_and_scipy_blocked():
-    """numpy and scipy only feed the float pre-pass: importing the library
-    loads neither, and with both blocked every LP goes the exact route
-    (conj444 is the game whose LPs are large enough to try the pre-pass)."""
+    """The library needs neither numpy nor scipy: importing it loads neither,
+    and with both blocked it answers on conj444, whose large LPs run over
+    cells, on a five-player game, and on a 21-player game that is not
+    complete, whose one LP (343 minimal winning coalitions, 8,533 tableau
+    cells) is above ``_EXACT_SIZE_LIMIT`` and is refuted by a certificate."""
     loaded = _run_isolated(
         """
         import sys
@@ -454,9 +408,10 @@ def test_library_runs_with_numpy_and_scipy_blocked():
         sys.modules["numpy"] = sys.modules["scipy"] = None
         from itertools import combinations
         from simplegames import (
-            Budget, Coalition, HierarchicalSpec, Kind, build, exact_dimension,
-            intersect_games, is_weighted, make_game,
+            Budget, Coalition, HierarchicalSpec, Kind, build, exact_dimension, find_certificate,
+            intersect_games, is_weighted, make_game, make_game_from_masks, verify_certificate,
         )
+        from simplegames import _exactlp
 
         g = build(HierarchicalSpec(Kind.CONJUNCTIVE, (4, 4, 4), (2, 4, 7)))
         r = exact_dimension(g, Budget(max_lmax=1500, clique_exact=700, max_nodes=600_000))
@@ -464,6 +419,19 @@ def test_library_runs_with_numpy_and_scipy_blocked():
         majority = make_game(5, [Coalition.of(c, 5) for c in combinations(range(5), 3)])
         rep = is_weighted(majority)
         print(rep.quota, *rep.weights)
+
+        sizes = []
+        solve = _exactlp.LinearSystem.solve
+
+        def recording(system):
+            sizes.append(_exactlp._tableau_size(system.num_vars, len(system.rows)))
+            return solve(system)
+
+        _exactlp.LinearSystem.solve = recording
+        a, b, c = (range(k, k + 7) for k in (0, 7, 14))  # wins iff it meets all three
+        thirds = make_game_from_masks(21, [1 << i | 1 << j | 1 << k for i in a for j in b for k in c])
+        print(is_weighted(thirds), sizes, sizes[0] > _exactlp._EXACT_SIZE_LIMIT)
+        print(verify_certificate(thirds, find_certificate(thirds, 4)))
         """
     )
-    assert out.splitlines() == ["2 2 2 True", "3 1 1 1 1 1"]
+    assert out.splitlines() == ["2 2 2 True", "3 1 1 1 1 1", "None [8533] True", "True"]
